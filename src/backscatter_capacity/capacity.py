@@ -2,8 +2,9 @@
 
 * capacity_quadrature -- direct integration of log2(1+gamma) against the
   density, in the sqrt-SNR domain with scaled Bessel factors;
-* capacity_series -- Meijer-G series: a Bessel power-series expansion
-  turns the integral into a sum of Mellin-Barnes kernels, one per order;
+* capacity_series -- the Meijer-G series summed over all Bessel orders in
+  closed form: one Mellin-Barnes contour integral of a Meijer kernel times
+  a 2F1(-s, -s; 1; rho) factor;
 * capacity_high_snr / capacity_high_snr_budget -- slope-1 asymptotes from
   the moment derivative at order zero;
 * capacity_low_snr -- first-moment approximation.
@@ -35,6 +36,7 @@ from .special_functions import (
     EULER_GAMMA,
     LOG2E,
     GParams,
+    _hyp2f1_series,
     exp_integral_e1_scaled,
     mellin_barnes_integral,
 )
@@ -46,8 +48,6 @@ METHOD_ASYMPTOTIC_LOW = "asymptotic_low"
 METHOD_AWGN = "awgn_reference"
 METHOD_RAYLEIGH = "rayleigh_reference"
 METHOD_MC = "monte_carlo"
-
-DEFAULT_SERIES_KMAX = 400
 
 
 @dataclass(frozen=True)
@@ -84,67 +84,39 @@ def capacity_quadrature(params: ChannelParams,
     )
 
 
-def _series_kernel(k: int, z: float) -> GParams:
-    """Mellin-Barnes kernel of the order-k series term; the feasible
-    contour strip is (k+1, k+2) and the integrand decays like exp(-2 pi |t|)."""
-    return GParams(m=4, n=1, p=2, q=4,
-                   a_list=(-k - 1.0, -k * 1.0),
-                   b_list=(0.0, 0.0, -k - 1.0, -k - 1.0),
-                   z=z)
-
-
 def capacity_series(params: ChannelParams,
-                    policy: AccuracyPolicy = DEFAULT_POLICY,
-                    k_max: int = DEFAULT_SERIES_KMAX) -> CapacityEstimate:
-    """Capacity as the Bessel-series sum of Meijer-G kernel values.
+                    policy: AccuracyPolicy = DEFAULT_POLICY) -> CapacityEstimate:
+    """Capacity as one Mellin-Barnes integral along Re s = 1/2,
 
-    Terms decay roughly like rho^k, so high correlation needs many orders;
-    the stopping rule requires two consecutive negligible terms because a
-    single term can dip early.
+        log2(e)/(2 pi i) Int Gamma(s)^2 Gamma(1-s) Gamma(1+s)
+                             ((1+rho)/gbar)^{-s} 2F1(-s, -s; 1; rho) ds:
+
+    the Meijer kernel G^{3,1}_{1,3} times a 2F1 factor that sums the
+    density's Bessel power series over all orders at once (Euler's
+    transformation, DLMF 15.8.1).  terms_used counts the terms of that
+    2F1 series, about log(eps)/log(rho) of them.
     """
     if not params.analytic_ok:
         raise UnsupportedParameterError(
             "rho = 1 has no series representation; use Monte Carlo")
-    if k_max < 1:
-        raise UnsupportedParameterError("k_max must be >= 1")
-    a, b = params.a, params.b
-    z = 0.25 * a * a
-    log_c1 = math.log(params.c1)
+    kernel = GParams(m=3, n=1, p=1, q=3, a_list=(0.0,), b_list=(0.0, 0.0, 1.0),
+                     z=(1.0 + params.rho) / params.gamma_bar)
+    terms = []
 
-    if b == 0.0:
-        # every higher-order coefficient carries (b/2)^{2k} = 0
-        value, err, nodes = mellin_barnes_integral(
-            _series_kernel(0, z), policy, log_prefactor=log_c1 - math.log(2.0))
-        return CapacityEstimate(value, METHOD_SERIES, err,
-                                {"terms_used": 1, "last_term": 0.0,
-                                 "nodes": nodes})
+    def hyp2f1(s):
+        value, n = _hyp2f1_series(s, params.rho)
+        terms.append(n)
+        return LOG2E * value
 
-    log_b_half = math.log(0.5 * b)
-    total = 0.0
-    mb_error = 0.0
-    nodes = 0
-    small_streak = 0
-    lgamma = math.lgamma
-    term = math.nan
-    for k in range(k_max + 1):
-        log_ck = log_c1 - math.log(2.0) + 2.0 * k * log_b_half - 2.0 * lgamma(k + 1.0)
-        term, err, n = mellin_barnes_integral(
-            _series_kernel(k, z), policy, log_prefactor=log_ck)
-        total += term
-        mb_error += err
-        nodes += n
-        if term <= policy.rel_tol * total:
-            small_streak += 1
-            if small_streak >= 2:
-                return CapacityEstimate(
-                    total, METHOD_SERIES, mb_error + term,
-                    {"terms_used": k + 1, "last_term": term, "nodes": nodes})
-        else:
-            small_streak = 0
-    raise ConvergenceError(
-        "series did not meet the stopping rule; use capacity_quadrature",
-        {"gamma_bar": params.gamma_bar, "rho": params.rho,
-         "k_max": k_max, "last_term": term, "partial_sum": total})
+    try:
+        value, err, nodes = mellin_barnes_integral(kernel, policy, hyp2f1)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            "series did not converge; use capacity_quadrature",
+            {"gamma_bar": params.gamma_bar, "rho": params.rho,
+             **exc.diagnostics}) from exc
+    return CapacityEstimate(value, METHOD_SERIES, err,
+                            {"terms_used": max(terms), "nodes": nodes})
 
 
 def capacity_high_snr(params: ChannelParams) -> CapacityEstimate:

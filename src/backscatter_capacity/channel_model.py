@@ -101,11 +101,6 @@ class ChannelParams:
     def b(self) -> float:
         return self.a * math.sqrt(self.rho)
 
-    @property
-    def c1(self) -> float:
-        a = self.a
-        return a * a * (1.0 - self.rho) / (2.0 * math.log(2.0))
-
 
 @dataclass(frozen=True)
 class Parameterization:

@@ -19,6 +19,8 @@ import numpy as np
 
 from . import __version__
 from .capacity import (
+    METHOD_MC,
+    CapacityEstimate,
     capacity_awgn,
     capacity_high_snr,
     capacity_high_snr_budget,
@@ -44,7 +46,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .monte_carlo import McConfig, estimate_capacity, estimate_moment
-from .special_functions import LOG2E, AccuracyPolicy
+from .special_functions import DEFAULT_POLICY, LOG2E, AccuracyPolicy
 
 CSV_HEADER = "mode,rho,snr_db,gamma_bar_linear,method,capacity_bpshz,error_bound,diagnostics"
 
@@ -123,11 +125,10 @@ def _estimate_to_row(mode: str, rho: float, snr_db: float, gamma_bar: float,
     }
 
 
-@dataclass(frozen=True)
-class _McEstimate:
-    value: float
-    error_bound: float
-    diagnostics: dict
+def _mc_estimate(res, mc: McConfig) -> CapacityEstimate:
+    return CapacityEstimate(res.estimate, METHOD_MC, res.std_error,
+                            {"seed": mc.seed, "n_samples": mc.n_samples,
+                             "n_batches": mc.n_batches})
 
 
 def _evaluate_point(mode: str, rho: float, snr_db: float, method: str,
@@ -145,10 +146,7 @@ def _evaluate_point(mode: str, rho: float, snr_db: float, method: str,
     elif method == "asymptotic_low":
         est = capacity_low_snr(param)
     elif method == "mc":
-        res = estimate_capacity(param, mc)
-        est = _McEstimate(res.estimate, res.std_error,
-                          {"seed": mc.seed, "n_samples": mc.n_samples,
-                           "n_batches": mc.n_batches})
+        est = _mc_estimate(estimate_capacity(param, mc), mc)
     elif method == "awgn":
         est = capacity_awgn(param.snr_value)
     elif method == "rayleigh":
@@ -177,7 +175,7 @@ def _evaluate_points(points: list[tuple], policy: AccuracyPolicy,
     return rows
 
 
-def run_sweep(spec: SweepSpec, policy: AccuracyPolicy = AccuracyPolicy(),
+def run_sweep(spec: SweepSpec, policy: AccuracyPolicy = DEFAULT_POLICY,
               threads: int = 1) -> list[dict]:
     """One row per (rho, snr, method), sorted by (rho, snr_db, method)."""
     points = [(spec.mode, rho, snr, m)
@@ -195,7 +193,7 @@ def _grid(start: float, stop: float, step: float) -> tuple:
     return tuple(float(x) for x in np.arange(start, stop + 0.5 * step, step))
 
 
-def figure_dataset(fig: str, policy: AccuracyPolicy = AccuracyPolicy(),
+def figure_dataset(fig: str, policy: AccuracyPolicy = DEFAULT_POLICY,
                    mc_config: McConfig = DEFAULT_FIGURE_MC,
                    threads: int = 1) -> list[dict]:
     """Rows reproducing one figure's curves.
@@ -364,7 +362,7 @@ def _mc_from_args(args, base: McConfig | None = None) -> McConfig:
 def _policy_from_args(args) -> AccuracyPolicy:
     if getattr(args, "tol", None) is not None:
         return AccuracyPolicy(rel_tol=args.tol)
-    return AccuracyPolicy()
+    return DEFAULT_POLICY
 
 
 def _add_common_flags(p, mc=True):
@@ -488,14 +486,8 @@ def cmd_mc(args) -> int:
             else:
                 res = estimate_capacity(param, mc)
                 method = "mc"
-            rows.append({
-                "mode": args.mode, "rho": rho, "snr_db": snr_db,
-                "gamma_bar_linear": param.gamma_bar, "method": method,
-                "capacity_bpshz": res.estimate, "error_bound": res.std_error,
-                "diagnostics": _diag_str({"seed": mc.seed,
-                                          "n_samples": mc.n_samples,
-                                          "n_batches": mc.n_batches}),
-            })
+            rows.append(_estimate_to_row(args.mode, rho, snr_db, param.gamma_bar,
+                                         method, _mc_estimate(res, mc)))
     rows.sort(key=lambda r: (r["rho"], r["snr_db"], r["method"]))
     preamble = {"tool": f"bscap mc v{__version__}", "mode": args.mode,
                 "seed": mc.seed, "n_samples": mc.n_samples,

@@ -97,6 +97,13 @@ def sample_pair(rng_state: np.random.Generator, rho: float) -> FadingPairSample:
     return FadingPairSample(float(g_f[0]), float(g_b[0]))
 
 
+def _batches(rho: float, config: McConfig):
+    """(size, g_f, g_b) per batch, each drawn from its own substream."""
+    for i, size in enumerate(config.batch_sizes()):
+        g_f, g_b = _draw_pairs(batch_rng(config.seed, i), rho, size)
+        yield size, g_f, g_b
+
+
 def _batch_means(param: Parameterization, config: McConfig, transform):
     """Per-batch means of transform(gamma) plus the overall mean.
 
@@ -109,8 +116,7 @@ def _batch_means(param: Parameterization, config: McConfig, transform):
     scale = param.snr_budget
     sums = []
     means = []
-    for i, size in enumerate(config.batch_sizes()):
-        g_f, g_b = _draw_pairs(batch_rng(config.seed, i), param.rho, size)
+    for size, g_f, g_b in _batches(param.rho, config):
         vals = transform(scale * g_f * g_b)
         s = float(np.sum(vals))
         sums.append(s)
@@ -142,11 +148,8 @@ def estimate_moment(param: Parameterization, k: int, config: McConfig) -> McResu
 
 def _draw_all(param: Parameterization, config: McConfig) -> np.ndarray:
     scale = param.snr_budget
-    parts = []
-    for i, size in enumerate(config.batch_sizes()):
-        g_f, g_b = _draw_pairs(batch_rng(config.seed, i), param.rho, size)
-        parts.append(scale * g_f * g_b)
-    return np.concatenate(parts)
+    return np.concatenate([scale * g_f * g_b
+                           for _, g_f, g_b in _batches(param.rho, config)])
 
 
 def _ks_statistic(sorted_cdf_values: np.ndarray) -> float:
@@ -195,11 +198,8 @@ def ks_test_marginal(rho: float, config: McConfig, link: str = "forward") -> KsR
         raise DomainError("rho must lie in [0, 1]")
     if link not in ("forward", "backward"):
         raise ConfigError("link must be 'forward' or 'backward'")
-    parts = []
-    for i, size in enumerate(config.batch_sizes()):
-        g_f, g_b = _draw_pairs(batch_rng(config.seed, i), rho, size)
-        parts.append(g_f if link == "forward" else g_b)
-    g = np.sort(np.concatenate(parts))
+    g = np.sort(np.concatenate([g_f if link == "forward" else g_b
+                                for _, g_f, g_b in _batches(rho, config)]))
     cdf_vals = -np.expm1(-g)
     d = _ks_statistic(cdf_vals)
     crit = KS_CRITICAL_1PCT / math.sqrt(config.n_samples)

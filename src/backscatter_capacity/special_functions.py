@@ -300,14 +300,28 @@ def hyp2f1_symmetric(k: float, rho: float, max_terms: int = 200_000) -> float:
         return hyp2f1_neg_int(int(k), rho)
     if not (0.0 <= rho < 1.0):
         raise DomainError("series form requires rho in [0, 1)")
-    total = term = 1.0
+    return float(_hyp2f1_series(np.asarray(k, dtype=float), rho, max_terms)[0])
+
+
+def _hyp2f1_series(k: np.ndarray, rho: float, max_terms: int = 200_000):
+    """(2F1(-k, -k; 1; rho), terms summed) by the series, for 0 <= rho < 1
+    and real or complex orders k of any shape.
+
+    One array of terms, shaped like k, is carried from term to term, so
+    memory does not grow with the term count.  Terms may grow while m is
+    below |k|, so the stopping rule waits until m has passed it.
+    """
+    total = term = np.ones(k.shape, np.result_type(k, float))
+    if rho == 0.0:
+        return total, 1
+    k_abs = float(np.max(np.abs(k)))
     for m in range(max_terms):
-        term *= rho * (m - k) ** 2 / (m + 1.0) ** 2
-        total += term
-        if term < 1e-17 * total and m > k:
-            return total
+        term = term * (rho * (m - k) ** 2 / (m + 1.0) ** 2)
+        total = total + term
+        if m > k_abs and np.all(np.abs(term) < 1e-17 * np.abs(total)):
+            return total, m + 2
     raise ConvergenceError("hyp2f1_symmetric series did not converge",
-                           {"k": k, "rho": rho, "terms": max_terms})
+                           {"k_abs": k_abs, "rho": rho, "terms": max_terms})
 
 
 def hyp2f1_cross_derivative(a: int, b: int, rho: float) -> float:
@@ -336,18 +350,8 @@ def hyp2f1_cross_derivative(a: int, b: int, rho: float) -> float:
 # exponential integral E1
 # ----------------------------------------------------------------------
 
-def _e1_scalar(x: float) -> float:
-    if x <= 1.0:
-        total = 0.0
-        term = 1.0
-        for k in range(1, 30):
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < 1e-18 * max(abs(total), 1.0):
-                break
-        return -EULER_GAMMA - math.log(x) + total
-    # modified Lentz continued fraction
+def _e1_scaled_cf(x: float) -> float:
+    """exp(x) * E1(x) for x > 1 by the modified Lentz continued fraction."""
     tiny = 1e-300
     b = x + 1.0
     c = 1.0 / tiny
@@ -362,7 +366,21 @@ def _e1_scalar(x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return h * math.exp(-x)
+    return h
+
+
+def _e1_scalar(x: float) -> float:
+    if x <= 1.0:
+        total = 0.0
+        term = 1.0
+        for k in range(1, 30):
+            term *= -x / k
+            contrib = -term / k
+            total += contrib
+            if abs(contrib) < 1e-18 * max(abs(total), 1.0):
+                break
+        return -EULER_GAMMA - math.log(x) + total
+    return _e1_scaled_cf(x) * math.exp(-x)
 
 
 def exp_integral_e1(x):
@@ -385,21 +403,7 @@ def exp_integral_e1_scaled(x):
     def scaled(v: float) -> float:
         if v <= 1.0:
             return math.exp(v) * _e1_scalar(v)
-        tiny = 1e-300
-        b = v + 1.0
-        c = 1.0 / tiny
-        d = 1.0 / b
-        h = d
-        for i in range(1, 200):
-            an = -i * i
-            b += 2.0
-            d = 1.0 / (an * d + b)
-            c = b + an / c
-            delta = c * d
-            h *= delta
-            if abs(delta - 1.0) < 1e-16:
-                break
-        return h
+        return _e1_scaled_cf(v)
 
     if arr.ndim == 0:
         return scaled(float(arr))
@@ -463,11 +467,10 @@ class GParams:
 
 
 def _mb_integrand(params: GParams, c: float, t: np.ndarray,
-                  log_prefactor: float) -> np.ndarray:
+                  factor=None) -> np.ndarray:
     s = c + 1j * t
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        llog = np.full(s.shape, complex(log_prefactor - 0.0))
-        llog = llog - s * math.log(params.z)
+        llog = -s * math.log(params.z)
         for b in params.b_list[:params.m]:
             llog = llog + _ln_gamma_array(b + s)
         for a in params.a_list[:params.n]:
@@ -477,15 +480,20 @@ def _mb_integrand(params: GParams, c: float, t: np.ndarray,
         for a in params.a_list[params.n:]:
             llog = llog - _ln_gamma_array(a + s)
         vals = np.exp(llog)
+        if factor is not None:
+            vals = vals * factor(s)
     return np.where(np.isfinite(vals), vals, 0.0).real
 
 
 def mellin_barnes_integral(params: GParams, policy: AccuracyPolicy = DEFAULT_POLICY,
-                           log_prefactor: float = 0.0,
-                           contour_shift: float = 0.0):
+                           factor=None, contour_shift: float = 0.0):
     """(value, error_estimate, n_nodes) of
-    exp(log_prefactor)/(2 pi i) * Int Gamma-kernel z^{-s} ds along the
-    vertical contour, exploiting the conjugate symmetry of real parameters.
+    1/(2 pi i) * Int Gamma-kernel z^{-s} factor(s) ds along the vertical
+    contour, exploiting the conjugate symmetry of real parameters.
+
+    factor, if given, maps an array of contour points s to complex values
+    with factor(conj(s)) = conj(factor(s)) that stay bounded along the
+    contour, so the kernel's decay rate still sets the truncation.
     """
     rate = params.decay_rate()
     if rate <= 0:
@@ -497,7 +505,7 @@ def mellin_barnes_integral(params: GParams, policy: AccuracyPolicy = DEFAULT_POL
         raise ParameterError("shifted contour leaves the feasible strip")
 
     T = (-math.log(policy.rel_tol * 1e-3)) / rate + policy.contour_truncation_margin
-    g = lambda t: _mb_integrand(params, c, t, log_prefactor)
+    g = lambda t: _mb_integrand(params, c, t, factor)
 
     for _attempt in range(4):
         h = min(0.5, T / 64.0)

@@ -39,9 +39,7 @@ from .monte_carlo import (
     ks_test_marginal,
 )
 from .quadrature import tanh_sinh
-from .special_functions import AccuracyPolicy, hyp2f1_cross_derivative
-
-DEFAULT_POLICY = AccuracyPolicy()
+from .special_functions import DEFAULT_POLICY, AccuracyPolicy, hyp2f1_cross_derivative
 
 SMOKE_GRID = tuple((g, r) for g in (0.1, 1.0, 10.0, 1000.0)
                    for r in (0.0, 0.5, 0.9))

@@ -129,7 +129,8 @@ class TestSeries:
         ref = capacity_quadrature(ChannelParams(5.0, 0.0)).value
         assert est.value == pytest.approx(ref, rel=1e-9)
 
-    @pytest.mark.parametrize("gbar, rho", [(10.0, 0.5), (10.0, 0.9), (0.1, 0.3)])
+    @pytest.mark.parametrize("gbar, rho", [(10.0, 0.5), (10.0, 0.9), (0.1, 0.3),
+                                           (10.0, 0.99)])
     def test_matches_quadrature(self, gbar, rho):
         cs = capacity_series(ChannelParams(gbar, rho))
         cq = capacity_quadrature(ChannelParams(gbar, rho))
@@ -140,9 +141,14 @@ class TestSeries:
              for r in (0.3, 0.6, 0.9)]
         assert t[0] < t[1] < t[2]
 
-    def test_k_max_exhaustion_raises(self):
+    def test_golden_near_full_correlation(self):
+        est = capacity_series(ChannelParams(1e4, 0.999))
+        assert est.value == pytest.approx(GOLDEN_CAPACITY[(1e4, 0.999)], rel=1e-10)
+
+    def test_hyp2f1_term_cap_raises(self):
+        # about log(eps)/log(rho) = 390k terms would be needed, past the cap
         with pytest.raises(ConvergenceError) as err:
-            capacity_series(ChannelParams(10.0, 0.9), k_max=20)
+            capacity_series(ChannelParams(10.0, 0.9999))
         assert "quadrature" in str(err.value)
 
     def test_rho_one_rejected(self):

@@ -60,7 +60,6 @@ class TestParams:
         assert p.gamma_bar == 1.0
         assert p.a == pytest.approx(2.0, rel=1e-14)
         assert p.b == 0.0
-        assert p.c1 == pytest.approx(2.0 / math.log(2.0), rel=1e-14)
 
         p = params_from_receiver_snr(0.0, 0.5)
         assert p.a == pytest.approx(4.898979485566356, rel=1e-12)

@@ -117,6 +117,15 @@ class TestCliEndToEnd:
         val = data[1].split(",")[5]
         assert val == "0.739176891"  # 9 significant digits
 
+    def test_negative_snr_range_readme_example(self, tmp_path):
+        # "--snr-db -10:40:10" would parse as a flag; the "=" form is required
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--mode", "fixed_receiver_snr", "--snr-db=-10:40:10",
+                     "--rho", "0,0.5,0.9", "--method", "series,quadrature",
+                     "--out", str(out)]) == 0
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert len(rows) == 1 + 6 * 3 * 2
+
     def test_stdout_when_no_out_flag(self, capsys):
         assert main(["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "0",
                      "--rho", "0", "--method", "awgn"]) == 0

@@ -178,6 +178,20 @@ class TestHyp2f1:
                 ref = float(mpmath.hyp2f1(-k, -k, 1, rho))
                 assert hyp2f1_symmetric(k, rho) == pytest.approx(ref, rel=1e-12)
 
+    def test_complex_orders_against_mpmath(self):
+        # the orders capacity_series sums along its contour Re s = 1/2
+        from backscatter_capacity.special_functions import _hyp2f1_series
+        mpmath = pytest.importorskip("mpmath")
+        s = 0.5 + 1j * np.array([0.0, 1.0, 4.0, 8.0])
+        for rho in (0.3, 0.9, 0.99):
+            got, terms = _hyp2f1_series(s, rho)
+            ref = np.array([complex(mpmath.hyp2f1(-k, -k, 1, rho)) for k in s])
+            assert np.all(np.abs(got - ref) <= 1e-6 * np.abs(ref))
+            assert np.all(np.abs(got[:2] - ref[:2]) <= 1e-12 * np.abs(ref[:2]))
+            assert terms > 1
+        total, terms = _hyp2f1_series(s, 0.0)
+        assert terms == 1 and np.all(total == 1.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             hyp2f1_neg_int(-1, 0.5)
@@ -262,7 +276,7 @@ class TestMeijerG:
         c = g.contour_abscissa()
         assert g.decay_rate() == pytest.approx(2.0 * math.pi)
         t = np.array([2.0, 4.0, 6.0])
-        mags = np.abs(_mb_integrand(g, c, t, 0.0))
+        mags = np.abs(_mb_integrand(g, c, t))
         for i in range(len(t) - 1):
             ratio = mags[i + 1] / mags[i]
             assert ratio <= math.exp(-2.0 * math.pi * (t[i + 1] - t[i]) * 0.9)
