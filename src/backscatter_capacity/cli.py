@@ -33,7 +33,6 @@ from .channel_model import (
     FIXED_POWER_BUDGET,
     FIXED_RECEIVER_SNR,
     MODES,
-    ChannelParams,
     Parameterization,
     db_to_linear,
     pdf,
@@ -50,8 +49,6 @@ from .special_functions import DEFAULT_POLICY, LOG2E, AccuracyPolicy
 
 CSV_HEADER = "mode,rho,snr_db,gamma_bar_linear,method,capacity_bpshz,error_bound,diagnostics"
 
-SWEEP_METHODS = ("quadrature", "series", "asymptotic_high", "asymptotic_low",
-                 "mc", "awgn", "rayleigh")
 ANALYTIC_METHODS = ("quadrature", "series")
 
 FIG_FIXED_RECEIVER = "fig_fixed_receiver"
@@ -131,28 +128,25 @@ def _mc_estimate(res, mc: McConfig) -> CapacityEstimate:
                              "n_batches": mc.n_batches})
 
 
+# method -> estimate at (Parameterization, policy, Monte Carlo config)
+_EVALUATORS = {
+    "quadrature": lambda p, policy, mc: capacity_quadrature(p.channel_params(), policy),
+    "series": lambda p, policy, mc: capacity_series(p.channel_params(), policy),
+    "asymptotic_high": lambda p, policy, mc: (
+        capacity_high_snr_budget(p.snr_budget) if p.mode == FIXED_POWER_BUDGET
+        else capacity_high_snr(p.channel_params())),
+    "asymptotic_low": lambda p, policy, mc: capacity_low_snr(p),
+    "mc": lambda p, policy, mc: _mc_estimate(estimate_capacity(p, mc), mc),
+    "awgn": lambda p, policy, mc: capacity_awgn(p.snr_value),
+    "rayleigh": lambda p, policy, mc: capacity_rayleigh(p.snr_value),
+}
+SWEEP_METHODS = tuple(_EVALUATORS)
+
+
 def _evaluate_point(mode: str, rho: float, snr_db: float, method: str,
                     policy: AccuracyPolicy, mc: McConfig | None) -> dict:
     param = Parameterization(mode, db_to_linear(snr_db), rho)
-    if method == "quadrature":
-        est = capacity_quadrature(param.channel_params(), policy)
-    elif method == "series":
-        est = capacity_series(param.channel_params(), policy)
-    elif method == "asymptotic_high":
-        if mode == FIXED_POWER_BUDGET:
-            est = capacity_high_snr_budget(param.snr_budget)
-        else:
-            est = capacity_high_snr(ChannelParams(param.gamma_bar, rho))
-    elif method == "asymptotic_low":
-        est = capacity_low_snr(param)
-    elif method == "mc":
-        est = _mc_estimate(estimate_capacity(param, mc), mc)
-    elif method == "awgn":
-        est = capacity_awgn(param.snr_value)
-    elif method == "rayleigh":
-        est = capacity_rayleigh(param.snr_value)
-    else:  # pragma: no cover - SweepSpec already validated
-        raise ConfigError(f"unknown method {method}")
+    est = _EVALUATORS[method](param, policy, mc)
     gamma_bar = param.snr_value if method in ("awgn", "rayleigh") else param.gamma_bar
     return _estimate_to_row(mode, rho, snr_db, gamma_bar, method, est)
 

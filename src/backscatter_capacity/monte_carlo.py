@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import ChannelParams, Parameterization
+from .channel_model import Parameterization, cdf
 from .errors import ConfigError, DomainError, UnsupportedParameterError
-from .quadrature import gauss_legendre_rule
 from .special_functions import LOG2E
 
 # asymptotic Kolmogorov critical constant at the 1% level
@@ -160,34 +159,14 @@ def _ks_statistic(sorted_cdf_values: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _cdf_at_sorted(params: ChannelParams, gamma_sorted: np.ndarray) -> np.ndarray:
-    """Analytic CDF at every sorted sample, by cumulative Gauss panels
-    between consecutive points in the sqrt domain."""
-    from .channel_model import _pdf_t
-
-    t = np.sqrt(gamma_sorted)
-    edges = np.concatenate([[0.0], t])
-    lo, hi = edges[:-1], edges[1:]
-    u, w = gauss_legendre_rule(8)
-    width = hi - lo
-    nodes = lo[:, None] + width[:, None] * u[None, :]
-    # degenerate (duplicate-sample) intervals contribute zero mass
-    pos = width > 0
-    increments = np.zeros_like(width)
-    if np.any(pos):
-        vals = _pdf_t(params, nodes[pos].ravel()).reshape(-1, u.size)
-        increments[pos] = (vals @ w) * width[pos]
-    return np.minimum(np.cumsum(increments), 1.0)
-
-
 def ks_test(param: Parameterization, config: McConfig) -> KsResult:
     """Kolmogorov-Smirnov test of sampled product SNRs against the
-    analytic distribution, at the 1% level."""
+    analytic distribution, at the 1% level; `cdf` evaluates it at all
+    sorted samples in one panel pass."""
     if param.rho >= 1.0:
         raise UnsupportedParameterError("rho = 1 has no analytic CDF to test against")
     gamma = np.sort(_draw_all(param, config))
-    cdf_vals = _cdf_at_sorted(param.channel_params(), gamma)
-    d = _ks_statistic(cdf_vals)
+    d = _ks_statistic(cdf(param.channel_params(), gamma))
     crit = KS_CRITICAL_1PCT / math.sqrt(config.n_samples)
     return KsResult(d, crit, d < crit, config.n_samples, config.seed)
 

@@ -291,7 +291,11 @@ def hyp2f1_neg_int(k: int, rho: float) -> float:
     return total
 
 
-def hyp2f1_symmetric(k: float, rho: float, max_terms: int = 200_000) -> float:
+# Term cap of the 2F1(-k, -k; 1; rho) series; rho = 0.9999 needs about 390,000.
+_HYP2F1_MAX_TERMS = 200_000
+
+
+def hyp2f1_symmetric(k: float, rho: float) -> float:
     """2F1(-k, -k; 1; rho) for real k >= 0 via the convergent series
     (rho < 1); integer k falls back to the exact finite sum."""
     if k < 0:
@@ -300,10 +304,10 @@ def hyp2f1_symmetric(k: float, rho: float, max_terms: int = 200_000) -> float:
         return hyp2f1_neg_int(int(k), rho)
     if not (0.0 <= rho < 1.0):
         raise DomainError("series form requires rho in [0, 1)")
-    return float(_hyp2f1_series(np.asarray(k, dtype=float), rho, max_terms)[0])
+    return float(_hyp2f1_series(np.asarray(k, dtype=float), rho)[0])
 
 
-def _hyp2f1_series(k: np.ndarray, rho: float, max_terms: int = 200_000):
+def _hyp2f1_series(k: np.ndarray, rho: float):
     """(2F1(-k, -k; 1; rho), terms summed) by the series, for 0 <= rho < 1
     and real or complex orders k of any shape.
 
@@ -315,13 +319,13 @@ def _hyp2f1_series(k: np.ndarray, rho: float, max_terms: int = 200_000):
     if rho == 0.0:
         return total, 1
     k_abs = float(np.max(np.abs(k)))
-    for m in range(max_terms):
+    for m in range(_HYP2F1_MAX_TERMS):
         term = term * (rho * (m - k) ** 2 / (m + 1.0) ** 2)
         total = total + term
         if m > k_abs and np.all(np.abs(term) < 1e-17 * np.abs(total)):
             return total, m + 2
     raise ConvergenceError("hyp2f1_symmetric series did not converge",
-                           {"k_abs": k_abs, "rho": rho, "terms": max_terms})
+                           {"k_abs": k_abs, "rho": rho, "terms": _HYP2F1_MAX_TERMS})
 
 
 def hyp2f1_cross_derivative(a: int, b: int, rho: float) -> float:

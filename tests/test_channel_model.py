@@ -3,6 +3,7 @@
 Frozen constants come from 25-digit mpmath quadrature/Bessel evaluations.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -149,6 +150,32 @@ class TestPdf:
             pdf(ChannelParams(1.0, 1.0), 1.0)
 
 
+def _oracle_cdf(gbar, rho, grid):
+    """P(SNR <= gamma) on an increasing gamma grid, by mpmath quadrature of
+    the product density.
+
+    z = g_f g_b = (1+rho) gamma / gbar has density (2/(1-rho))
+    I0(2 sqrt(rho z)/(1-rho)) K0(2 sqrt(z)/(1-rho)).  The integral is taken
+    in t = sqrt(z) between consecutive grid points, split geometrically
+    toward the log singularity at 0, and stops where the density tail
+    exp(-2 (1-sqrt(rho)) t/(1-rho)) has fallen below e^-80.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        rho = mp.mpf(rho)
+        s = 1 / (1 - rho)
+
+        def dens_t(t):
+            return 4 * s * t * mp.besseli(0, 2 * mp.sqrt(rho) * s * t) \
+                * mp.besselk(0, 2 * s * t)
+
+        t_end = 40 / (s * (1 - mp.sqrt(rho)))
+        tops = [min(mp.sqrt((1 + rho) * mp.mpf(g) / gbar), t_end) for g in grid]
+        pieces = [mp.quad(dens_t, [0] + [tops[0] / 10 ** k for k in range(6, -1, -1)])]
+        pieces += [mp.quad(dens_t, [lo, hi]) for lo, hi in zip(tops, tops[1:])]
+        return [float(v) for v in itertools.accumulate(pieces)]
+
+
 class TestCdf:
     def test_endpoints(self):
         p = ChannelParams(1.0, 0.3)
@@ -169,6 +196,45 @@ class TestCdf:
     def test_rho_one_unsupported(self):
         with pytest.raises(UnsupportedParameterError):
             cdf(ChannelParams(1.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("bad", [-1e-12, math.inf, math.nan])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            cdf(ChannelParams(1.0, 0.5), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("gbar", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_closed_form_at_rho_zero(self, gbar):
+        # x = gamma/gbar: a sparse grid reaching past the cutoff and a dense one
+        for x in ([1e-8, 1e-7, 1e9], np.logspace(-10, 2, 40)):
+            x = np.asarray(x)
+            exact = 1.0 - 2.0 * np.sqrt(x) * sp.k1(2.0 * np.sqrt(x))
+            assert np.max(np.abs(cdf(ChannelParams(gbar, 0.0), x * gbar) - exact)) < 1e-11
+
+    @pytest.mark.parametrize("gbar, rho, grid", [
+        (1.0, 0.5, [1e-6, 0.1, 1.0, 5.0, 30.0]),
+        (10.0, 0.9, [1e-4, 1.0, 10.0, 100.0]),
+        (1.0, 0.999, [1e-6, 0.1, 1.0, 5.0, 30.0]),
+        (1e-3, 0.9, [1e-8, 1e-7, 1e9]),
+    ])
+    def test_mpmath_oracle(self, gbar, rho, grid):
+        got = cdf(ChannelParams(gbar, rho), np.array(grid))
+        want = _oracle_cdf(gbar, rho, grid)
+        assert np.max(np.abs(got - want)) < 1e-11
+
+    def test_order_duplicates_and_shape(self):
+        p = ChannelParams(2.0, 0.6)
+        grid = np.array([0.0, 0.01, 0.5, 1.0, 4.0, 20.0, 1e9])
+        ref = cdf(p, grid)
+        assert ref[0] == 0.0 and ref[-1] == pytest.approx(1.0, abs=1e-11)
+        assert np.all(np.diff(ref) > 0)
+        perm = np.array([3, 6, 0, 2, 5, 1, 4])
+        assert np.array_equal(cdf(p, grid[perm]), ref[perm])
+        doubled = np.concatenate([grid, grid[::-1]])
+        assert np.array_equal(cdf(p, doubled), np.concatenate([ref, ref[::-1]]))
+        assert cdf(p, grid.reshape(7, 1)).shape == (7, 1)
+        scalar = cdf(p, 1.0)
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(ref[3], abs=1e-14)
 
 
 class TestMoments:

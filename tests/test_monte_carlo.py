@@ -168,12 +168,12 @@ class TestKs:
         assert ks_test(Parameterization(FIXED_RECEIVER_SNR, 1.0, 0.0), cfg).passed
 
     def test_mis_scaled_sampler_fails(self):
-        from backscatter_capacity.monte_carlo import _cdf_at_sorted, _ks_statistic
+        from backscatter_capacity.channel_model import cdf
+        from backscatter_capacity.monte_carlo import _draw_all, _ks_statistic
         cfg = McConfig(n_samples=20_000, seed=79, n_batches=100)
         param = Parameterization(FIXED_RECEIVER_SNR, 1.0, 0.5)
-        from backscatter_capacity.monte_carlo import _draw_all
         gamma = np.sort(_draw_all(param, cfg) * 2.0)
-        d = _ks_statistic(_cdf_at_sorted(param.channel_params(), gamma))
+        d = _ks_statistic(cdf(param.channel_params(), gamma))
         assert d > 1.6276 / math.sqrt(cfg.n_samples)
 
     def test_marginals_exponential(self):
