@@ -10,8 +10,9 @@
 * capacity_low_snr -- first-moment approximation.
 
 AWGN and single-Rayleigh references used by the sweep datasets live here
-too.  All functions are pure; estimates carry their method tag and an
-error bound (NaN marks asymptotes, which have no computable remainder).
+too.  Every route covers rho in [0, 1], full correlation included.  All
+functions are pure; estimates carry their method tag and an error bound
+(NaN marks asymptotes, which have no computable remainder).
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ from .channel_model import (
     Parameterization,
     _pdf_t,
     moment_log_derivative,
-    sqrt_domain_cutoff,
 )
 from .errors import ConvergenceError, UnsupportedParameterError
-from .quadrature import tanh_sinh
+from .quadrature import exponential_tail_cutoff, tanh_sinh
 from .special_functions import (
     AccuracyPolicy,
     DEFAULT_POLICY,
     EULER_GAMMA,
     LOG2E,
     GParams,
+    _hyp2f1_near_one,
     _hyp2f1_series,
     exp_integral_e1_scaled,
     mellin_barnes_integral,
@@ -49,6 +50,10 @@ METHOD_AWGN = "awgn_reference"
 METHOD_RAYLEIGH = "rayleigh_reference"
 METHOD_MC = "monte_carlo"
 
+# capacity_series sums the 2F1 factor in powers of rho up to here and in
+# powers of 1 - rho above: the measured crossover of the two term counts
+_SERIES_SWITCH_RHO = 0.6
+
 
 @dataclass(frozen=True)
 class CapacityEstimate:
@@ -61,10 +66,7 @@ class CapacityEstimate:
 def capacity_quadrature(params: ChannelParams,
                         policy: AccuracyPolicy = DEFAULT_POLICY) -> CapacityEstimate:
     """E{log2(1 + gamma)} by tanh-sinh quadrature in t = sqrt(gamma)."""
-    if not params.analytic_ok:
-        raise UnsupportedParameterError(
-            "rho = 1 is not integrable analytically; use Monte Carlo")
-    t_max = sqrt_domain_cutoff(params, poly_power=2.0)
+    t_max = exponential_tail_cutoff(params.tail_rate, poly_power=2.0)
 
     def integrand(t):
         return LOG2E * np.log1p(t * t) * _pdf_t(params, t)
@@ -86,35 +88,35 @@ def capacity_quadrature(params: ChannelParams,
 
 def capacity_series(params: ChannelParams,
                     policy: AccuracyPolicy = DEFAULT_POLICY) -> CapacityEstimate:
-    """Capacity as one Mellin-Barnes integral along Re s = 1/2,
+    """Capacity as one Mellin-Barnes integral along a vertical line,
 
         log2(e)/(2 pi i) Int Gamma(s)^2 Gamma(1-s) Gamma(1+s)
                              ((1+rho)/gbar)^{-s} 2F1(-s, -s; 1; rho) ds:
 
     the Meijer kernel G^{3,1}_{1,3} times a 2F1 factor that sums the
     density's Bessel power series over all orders at once (Euler's
-    transformation, DLMF 15.8.1).  terms_used counts the terms of that
-    2F1 series, about log(eps)/log(rho) of them.
+    transformation, DLMF 15.8.1): up to rho = 0.6 its power series in rho
+    on Re s = 1/2, above it the connection formula in 1 - rho on Re s = 0.4,
+    where 1 + 2s is never an integer.  terms_used counts 2F1 terms.
     """
-    if not params.analytic_ok:
-        raise UnsupportedParameterError(
-            "rho = 1 has no series representation; use Monte Carlo")
+    rho = params.rho
     kernel = GParams(m=3, n=1, p=1, q=3, a_list=(0.0,), b_list=(0.0, 0.0, 1.0),
-                     z=(1.0 + params.rho) / params.gamma_bar)
+                     z=(1.0 + rho) / params.gamma_bar)
+    near_one = rho > _SERIES_SWITCH_RHO
     terms = []
 
     def hyp2f1(s):
-        value, n = _hyp2f1_series(s, params.rho)
+        value, n = _hyp2f1_near_one(s, rho) if near_one else _hyp2f1_series(-s, 1.0, rho)
         terms.append(n)
         return LOG2E * value
 
     try:
-        value, err, nodes = mellin_barnes_integral(kernel, policy, hyp2f1)
+        value, err, nodes = mellin_barnes_integral(
+            kernel, policy, hyp2f1, contour_shift=-0.1 if near_one else 0.0)
     except ConvergenceError as exc:
         raise ConvergenceError(
-            "series did not converge; use capacity_quadrature",
-            {"gamma_bar": params.gamma_bar, "rho": params.rho,
-             **exc.diagnostics}) from exc
+            "series did not converge",
+            {"gamma_bar": params.gamma_bar, "rho": rho, **exc.diagnostics}) from exc
     return CapacityEstimate(value, METHOD_SERIES, err,
                             {"terms_used": max(terms), "nodes": nodes})
 

@@ -9,6 +9,9 @@ E{g_f g_b} = 1 + rho.  Two conventions coexist:
 * fixed power budget: the transmit-referenced SNR snr_I is prescribed
   and the receiver mean picks up the correlation bonus,
   gamma_bar = snr_I * (1 + rho).
+
+For rho < 1 the density is a product of Bessel functions; at rho = 1 both
+gains are one G ~ Exp(1), and sqrt(gamma) is exponential.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedParameterError
+from .errors import DomainError
 from .quadrature import exponential_tail_cutoff, gauss_legendre_rule
 from .special_functions import (
     EULER_GAMMA,
@@ -35,10 +38,6 @@ MODES = (FIXED_RECEIVER_SNR, FIXED_POWER_BUDGET)
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -81,19 +80,14 @@ class ChannelParams:
             raise DomainError("rho must lie in [0, 1]")
 
     @property
-    def analytic_ok(self) -> bool:
-        """Density/series paths need rho < 1 (kernel constants diverge)."""
-        return self.rho < 1.0
-
-    def _require_analytic(self):
-        if not self.analytic_ok:
-            raise UnsupportedParameterError(
-                "rho = 1 has no analytic density; use Monte Carlo or the asymptotes")
+    def _one_minus_rho(self) -> float:
+        if self.rho == 1.0:  # the density is exponential there, see _pdf_t
+            raise DomainError("the Bessel-form constants a, b, pdf_scale need rho < 1")
+        return 1.0 - self.rho
 
     @property
     def a(self) -> float:
-        self._require_analytic()
-        return (2.0 / (1.0 - self.rho)) * math.sqrt((1.0 + self.rho) / self.gamma_bar)
+        return (2.0 / self._one_minus_rho) * math.sqrt((1.0 + self.rho) / self.gamma_bar)
 
     @property
     def b(self) -> float:
@@ -102,7 +96,14 @@ class ChannelParams:
     @property
     def pdf_scale(self) -> float:
         """Constant factor (2/gamma_bar)(1+rho)/(1-rho) of the density."""
-        return (2.0 / self.gamma_bar) * (1.0 + self.rho) / (1.0 - self.rho)
+        return (2.0 / self.gamma_bar) * (1.0 + self.rho) / self._one_minus_rho
+
+    @property
+    def tail_rate(self) -> float:
+        """Rate of the density tail exp(-rate t) in t = sqrt(gamma)."""
+        if self.rho == 1.0:
+            return math.sqrt(2.0 / self.gamma_bar)
+        return self.a - self.b
 
 
 @dataclass(frozen=True)
@@ -149,42 +150,32 @@ def params_from_power_budget(snr_I_db: float, rho: float) -> ChannelParams:
 
 
 def pdf(params: ChannelParams, gamma):
-    """Density of the instantaneous SNR.
-
-    Evaluated in scaled form
-        (2/gbar) ((1+rho)/(1-rho)) I0e(b s) K0e(a s) exp((b-a) s),  s = sqrt(gamma),
-    which stays representable for any gamma where the raw Bessel product
-    would overflow/underflow.
-    """
-    params._require_analytic()
+    """Density of the instantaneous SNR, _pdf_t(sqrt(gamma)) / (2 sqrt(gamma))."""
     g = np.asarray(gamma, dtype=float)
     if np.any(g <= 0) or not np.all(np.isfinite(g)):
         raise DomainError("pdf requires gamma > 0")
-    scalar = g.ndim == 0
-    s = np.sqrt(np.atleast_1d(g))
-    a, b = params.a, params.b
-    vals = params.pdf_scale * bessel_i0_scaled(b * s) * bessel_k0_scaled(a * s) \
-        * np.exp((b - a) * s)
-    return float(vals[0]) if scalar else vals
+    t = np.sqrt(np.atleast_1d(g))
+    vals = _pdf_t(params, t) / (2.0 * t)
+    return float(vals[0]) if g.ndim == 0 else vals
 
 
 def _pdf_t(params: ChannelParams, t: np.ndarray) -> np.ndarray:
-    """Density transformed to t = sqrt(gamma):  pdf(t^2) * 2 t."""
+    """Density of t = sqrt(gamma), pdf(t^2) * 2 t.  For rho < 1 the scaled
+    form 2 pdf_scale t I0e(b t) K0e(a t) exp((b-a) t) stays representable
+    where the raw Bessel product would overflow; at rho = 1 both links carry
+    one gain G ~ Exp(1), so t = sqrt(snr_budget) G is exponential."""
+    if params.rho == 1.0:
+        d = params.tail_rate
+        return d * np.exp(-d * t)
     a, b = params.a, params.b
     return params.pdf_scale * 2.0 * t * bessel_i0_scaled(b * t) * bessel_k0_scaled(a * t) \
         * np.exp((b - a) * t)
 
 
-def sqrt_domain_cutoff(params: ChannelParams, poly_power: float = 1.0) -> float:
-    """Upper integration limit in t = sqrt(gamma) where the density tail
-    exp(-(a-b) t) has dropped far below the working tolerances."""
-    decay = params.a - params.b
-    return exponential_tail_cutoff(decay, poly_power)
-
-
-# Panel edges t_cap * 2^-k below every query point: no panel spans more
-# than a factor of 2 toward the K0 log singularity of the density at t = 0.
-_CDF_LADDER = 2.0 ** -np.arange(40)
+# Panel edges below every query point: t_cap * 2^-k, so no panel spans more
+# than a factor of 2 toward the K0 log singularity of the density at t = 0,
+# and t_cap * j/32, so none spans more than 1/32 of the exponential tail.
+_CDF_LADDER = np.concatenate([2.0 ** -np.arange(40), np.arange(1, 32) / 32.0])
 
 
 def cdf(params: ChannelParams, gamma):
@@ -195,11 +186,10 @@ def cdf(params: ChannelParams, gamma):
     [0, t_cap] into panels, each summed by an 8-node Gauss rule, and the
     running sum of the panel masses is the CDF at every edge.
     """
-    params._require_analytic()
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0) or not np.all(np.isfinite(g)):
         raise DomainError("cdf requires gamma >= 0")
-    t_cap = sqrt_domain_cutoff(params)
+    t_cap = exponential_tail_cutoff(params.tail_rate, 1.0)
     t = np.minimum(np.sqrt(g.ravel()), t_cap)
     edges, where = np.unique(np.concatenate([[0.0], t_cap * _CDF_LADDER, t]),
                              return_inverse=True)
@@ -220,15 +210,9 @@ def moment(params: ChannelParams, k: float) -> float:
     """
     if k < 0:
         raise DomainError("moment order must be >= 0")
-    rho = params.rho
     lg1k = ln_gamma_complex(complex(1.0 + k)).real
-    if rho == 1.0:
-        # Gauss summation: 2F1(-k,-k;1;1) = Gamma(1+2k)/Gamma(1+k)^2
-        log_m = k * math.log(params.gamma_bar) - k * math.log(2.0) \
-            + ln_gamma_complex(complex(1.0 + 2.0 * k)).real
-        return math.exp(log_m)
-    f = hyp2f1_symmetric(k, rho)
-    log_m = k * math.log(params.gamma_bar) - k * math.log1p(rho) + 2.0 * lg1k
+    f = hyp2f1_symmetric(k, params.rho)
+    log_m = k * math.log(params.gamma_bar) - k * math.log1p(params.rho) + 2.0 * lg1k
     return math.exp(log_m) * f
 
 

@@ -48,8 +48,7 @@ from .monte_carlo import McConfig, estimate_capacity, estimate_moment
 from .special_functions import DEFAULT_POLICY, LOG2E, AccuracyPolicy
 
 CSV_HEADER = "mode,rho,snr_db,gamma_bar_linear,method,capacity_bpshz,error_bound,diagnostics"
-
-ANALYTIC_METHODS = ("quadrature", "series")
+PDF_CSV_HEADER = "rho,snr_db,gamma_bar_linear,gamma,density"
 
 FIG_FIXED_RECEIVER = "fig_fixed_receiver"
 FIG_FIXED_BUDGET = "fig_fixed_budget"
@@ -88,10 +87,6 @@ class SweepSpec:
         bad = [m for m in self.methods if m not in SWEEP_METHODS]
         if bad or not self.methods:
             raise ConfigError(f"methods must be a non-empty subset of {SWEEP_METHODS}")
-        if any(r == 1.0 for r in self.rho_list) and \
-                any(m in ANALYTIC_METHODS for m in self.methods):
-            raise ConfigError(
-                "rho = 1 has no analytic path; request mc or the asymptotics instead")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format must be 'csv' or 'json'")
         if "mc" in self.methods and self.mc is None:
@@ -193,7 +188,8 @@ def figure_dataset(fig: str, policy: AccuracyPolicy = DEFAULT_POLICY,
     """Rows reproducing one figure's curves.
 
     Analytic curves cover the fine grid; Monte Carlo markers sit every
-    5 dB (and cover the whole grid where rho = 1 has no analytic path).
+    5 dB, and Monte Carlo alone carries the rho = 1 curves of figures 2
+    and 3 over the whole grid.
     Correlation-independent reference/asymptote curves are emitted once,
     tagged rho = 0.
     """
@@ -254,8 +250,8 @@ def figure_dataset(fig: str, policy: AccuracyPolicy = DEFAULT_POLICY,
 # serialization
 # ----------------------------------------------------------------------
 
-def render_csv(rows: list[dict], preamble: dict) -> str:
-    columns = CSV_HEADER.split(",")
+def render_csv(rows: list[dict], preamble: dict, header: str = CSV_HEADER) -> str:
+    columns = header.split(",")
     extra = [k for k in rows[0] if k not in columns] if rows else []
     lines = [f"# {k}={v}" for k, v in sorted(preamble.items())]
     lines.append(",".join(columns + extra))
@@ -280,10 +276,11 @@ def render_json(rows: list[dict], preamble: dict) -> str:
 
 
 def write_output(rows: list[dict], preamble: dict, fmt: str,
-                 path: str | None) -> None:
+                 path: str | None, header: str = CSV_HEADER) -> None:
     """Render fully, then write in one shot so failures never leave a
     partial file behind."""
-    text = render_csv(rows, preamble) if fmt == "csv" else render_json(rows, preamble)
+    text = render_csv(rows, preamble, header) if fmt == "csv" \
+        else render_json(rows, preamble)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -405,7 +402,7 @@ def build_parser() -> _Parser:
     p_pdf = sub.add_parser("pdf", help="tabulate the SNR density on a gamma grid")
     p_pdf.add_argument("--mode", choices=MODES, default=FIXED_RECEIVER_SNR)
     p_pdf.add_argument("--snr-db", required=True, help="single mean-SNR value (dB)")
-    p_pdf.add_argument("--rho", required=True, help="comma list in [0,1)")
+    p_pdf.add_argument("--rho", required=True, help="comma list in [0,1]")
     p_pdf.add_argument("--gamma", required=True,
                        help="linear gamma grid, comma list or start:stop:step")
     _add_common_flags(p_pdf, mc=False)
@@ -499,32 +496,15 @@ def cmd_pdf(args) -> int:
         raise ConfigError("gamma grid must be positive")
     rows = []
     for rho in parse_value_list(args.rho):
-        param = Parameterization(args.mode, db_to_linear(snr_vals[0]), rho)
-        cp = param.channel_params()
-        if not cp.analytic_ok:
-            raise ConfigError("rho = 1 has no analytic density; use mc")
+        cp = Parameterization(args.mode, db_to_linear(snr_vals[0]), rho).channel_params()
         dens = pdf(cp, np.array(gammas))
         for g, d in zip(gammas, dens):
             rows.append({"rho": rho, "snr_db": snr_vals[0],
                          "gamma_bar_linear": cp.gamma_bar,
                          "gamma": g, "density": float(d)})
     rows.sort(key=lambda r: (r["rho"], r["gamma"]))
-    if args.format == "json":
-        text = render_json(rows, {"tool": f"bscap pdf v{__version__}",
-                                  "mode": args.mode})
-    else:
-        lines = [f"# tool=bscap pdf v{__version__}", f"# mode={args.mode}",
-                 "rho,snr_db,gamma_bar_linear,gamma,density"]
-        for row in rows:
-            lines.append(",".join(
-                _fmt(row[k]) for k in
-                ("rho", "snr_db", "gamma_bar_linear", "gamma", "density")))
-        text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_output(rows, {"tool": f"bscap pdf v{__version__}", "mode": args.mode},
+                 args.format or "csv", args.out, PDF_CSV_HEADER)
     return 0
 
 

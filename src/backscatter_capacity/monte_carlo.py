@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_model import Parameterization, cdf
-from .errors import ConfigError, DomainError, UnsupportedParameterError
+from .errors import ConfigError, DomainError
 from .special_functions import LOG2E
 
 # asymptotic Kolmogorov critical constant at the 1% level
@@ -129,8 +129,7 @@ def _batch_means(param: Parameterization, config: McConfig, transform):
 def estimate_capacity(param: Parameterization, config: McConfig) -> McResult:
     """Sample mean of log2(1 + gamma) with batch-means standard error.
 
-    Works at every rho including 1, where this is the only evaluation
-    path for the exact capacity.
+    Works at every rho, 1 included.
     """
     estimate, se, means = _batch_means(
         param, config, lambda g: LOG2E * np.log1p(g))
@@ -163,8 +162,6 @@ def ks_test(param: Parameterization, config: McConfig) -> KsResult:
     """Kolmogorov-Smirnov test of sampled product SNRs against the
     analytic distribution, at the 1% level; `cdf` evaluates it at all
     sorted samples in one panel pass."""
-    if param.rho >= 1.0:
-        raise UnsupportedParameterError("rho = 1 has no analytic CDF to test against")
     gamma = np.sort(_draw_all(param, config))
     d = _ks_statistic(cdf(param.channel_params(), gamma))
     crit = KS_CRITICAL_1PCT / math.sqrt(config.n_samples)

@@ -291,41 +291,70 @@ def hyp2f1_neg_int(k: int, rho: float) -> float:
     return total
 
 
-# Term cap of the 2F1(-k, -k; 1; rho) series; rho = 0.9999 needs about 390,000.
+# Term cap of the 2F1 power series, which needs about log(eps)/log(z)
+# terms.  capacity_series stays far below it: it sums in powers of rho only
+# up to rho = 0.6, in powers of 1 - rho above.  hyp2f1_symmetric at real
+# non-integer k still reaches it above rho = 0.9998 (0.9999 needs 390,000).
 _HYP2F1_MAX_TERMS = 200_000
 
 
 def hyp2f1_symmetric(k: float, rho: float) -> float:
-    """2F1(-k, -k; 1; rho) for real k >= 0 via the convergent series
-    (rho < 1); integer k falls back to the exact finite sum."""
+    """2F1(-k, -k; 1; rho) for real k >= 0: the exact finite sum at integer
+    k, Gauss's sum at rho = 1, the convergent series otherwise."""
     if k < 0:
         raise DomainError("order must be >= 0")
     if float(k).is_integer():
         return hyp2f1_neg_int(int(k), rho)
-    if not (0.0 <= rho < 1.0):
-        raise DomainError("series form requires rho in [0, 1)")
-    return float(_hyp2f1_series(np.asarray(k, dtype=float), rho)[0])
+    if not (0.0 <= rho <= 1.0):
+        raise DomainError("hyp2f1_symmetric requires rho in [0, 1]")
+    k = np.asarray(k, dtype=float)
+    if rho == 1.0:
+        return float(_hyp2f1_near_one(k, rho)[0].real)
+    return float(_hyp2f1_series(-k, 1.0, rho)[0])
 
 
-def _hyp2f1_series(k: np.ndarray, rho: float):
-    """(2F1(-k, -k; 1; rho), terms summed) by the series, for 0 <= rho < 1
-    and real or complex orders k of any shape.
+def _hyp2f1_series(a: np.ndarray, c, z: float):
+    """(2F1(a, a; c; z), terms summed) by the power series, for 0 <= z < 1
+    and real or complex a and c of any shape.
 
-    One array of terms, shaped like k, is carried from term to term, so
+    One array of terms, shaped like a, is carried from term to term, so
     memory does not grow with the term count.  Terms may grow while m is
-    below |k|, so the stopping rule waits until m has passed it.
+    below |a|, so the stopping rule waits until m has passed it.
     """
-    total = term = np.ones(k.shape, np.result_type(k, float))
-    if rho == 0.0:
+    total = term = np.ones(a.shape, np.result_type(a, c, float))
+    if z == 0.0:
         return total, 1
-    k_abs = float(np.max(np.abs(k)))
+    a_abs = float(np.max(np.abs(a)))
     for m in range(_HYP2F1_MAX_TERMS):
-        term = term * (rho * (m - k) ** 2 / (m + 1.0) ** 2)
+        term = term * (z * (m + a) ** 2 / ((m + c) * (m + 1.0)))
         total = total + term
-        if m > k_abs and np.all(np.abs(term) < 1e-17 * np.abs(total)):
+        if m > a_abs and np.all(np.abs(term) < 1e-17 * np.abs(total)):
             return total, m + 2
-    raise ConvergenceError("hyp2f1_symmetric series did not converge",
-                           {"k_abs": k_abs, "rho": rho, "terms": _HYP2F1_MAX_TERMS})
+    raise ConvergenceError("2F1 power series did not converge",
+                           {"a_abs": a_abs, "z": z, "terms": _HYP2F1_MAX_TERMS})
+
+
+def _hyp2f1_near_one(s: np.ndarray, rho: float):
+    """(2F1(-s, -s; 1; rho), terms summed) by the connection formula in
+    w = 1 - rho (DLMF 15.8.4),
+
+        Gamma(1+2s)/Gamma(1+s)^2 2F1(-s, -s; -2s; w)
+          + w^{1+2s} Gamma(-1-2s)/Gamma(-s)^2 2F1(1+s, 1+s; 2+2s; w),
+
+    for orders s of any shape with Re(1 + 2s) > 0 and 1 + 2s never an
+    integer.  At w = 0 Gauss's sum Gamma(1+2s)/Gamma(1+s)^2 (DLMF 15.4.20)
+    is left.
+    """
+    s = np.asarray(s, dtype=complex)
+    w = 1.0 - rho
+    gauss = np.exp(_ln_gamma_array(1.0 + 2.0 * s) - 2.0 * _ln_gamma_array(1.0 + s))
+    if w == 0.0:
+        return gauss, 1
+    tail = np.exp((1.0 + 2.0 * s) * math.log(w) + _ln_gamma_array(-1.0 - 2.0 * s)
+                  - 2.0 * _ln_gamma_array(-s))
+    f1, n1 = _hyp2f1_series(-s, -2.0 * s, w)
+    f2, n2 = _hyp2f1_series(1.0 + s, 2.0 + 2.0 * s, w)
+    return gauss * f1 + tail * f2, max(n1, n2)
 
 
 def hyp2f1_cross_derivative(a: int, b: int, rho: float) -> float:

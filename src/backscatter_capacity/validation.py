@@ -29,7 +29,6 @@ from .channel_model import (
     _pdf_t,
     moment,
     moment_log_derivative,
-    sqrt_domain_cutoff,
 )
 from .monte_carlo import (
     McConfig,
@@ -38,7 +37,7 @@ from .monte_carlo import (
     ks_test,
     ks_test_marginal,
 )
-from .quadrature import tanh_sinh
+from .quadrature import exponential_tail_cutoff, tanh_sinh
 from .special_functions import DEFAULT_POLICY, AccuracyPolicy, hyp2f1_cross_derivative
 
 SMOKE_GRID = tuple((g, r) for g in (0.1, 1.0, 10.0, 1000.0)
@@ -62,7 +61,7 @@ def _result(name: str, failures: list[str], detail_ok: str) -> CheckResult:
 
 def _integrate_moment(params: ChannelParams, k: float,
                       policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
-    t_max = sqrt_domain_cutoff(params, poly_power=2.0 * k + 1.0)
+    t_max = exponential_tail_cutoff(params.tail_rate, poly_power=2.0 * k + 1.0)
     res = tanh_sinh(lambda t: t ** (2.0 * k) * _pdf_t(params, t), 0.0, t_max,
                     rel_tol=policy.rel_tol, abs_tol=policy.abs_tol,
                     max_nodes=policy.max_quadrature_nodes)
@@ -127,7 +126,10 @@ def check_moment_closed_form(mc_samples: int = 10_000_000) -> CheckResult:
 # ----------------------------------------------------------------------
 
 def check_series_quadrature(snr_db_grid=(-10, -5, 0, 5, 10, 15, 20, 25, 30),
-                            rho_list=(0.0, 0.3, 0.6, 0.9)) -> CheckResult:
+                            rho_list=(0.0, 0.3, 0.6, 0.9, 0.99, 0.9999, 1.0)
+                            ) -> CheckResult:
+    """Series and quadrature agree to 1e-6 on the whole grid, rho = 1
+    included: neither analytic path may raise where the other succeeds."""
     failures = []
     worst = 0.0
     for snr_db in snr_db_grid:
@@ -403,7 +405,7 @@ FULL_SUITE = (
 def _fast_checks() -> list[CheckResult]:
     return [
         check_pdf_normalization(gbar_list=(1.0, 100.0), rho_list=(0.0, 0.6, 0.99)),
-        check_series_quadrature(snr_db_grid=(0, 10, 20), rho_list=(0.5,)),
+        check_series_quadrature(snr_db_grid=(0, 10, 20), rho_list=(0.5, 1.0)),
         check_asymptote_tightness(rho_list=(0.0,)),
         check_mc_triangle(mc_samples=200_000,
                           grid=((1.0, 0.5), (1000.0, 0.0))),

@@ -27,7 +27,7 @@ from backscatter_capacity.channel_model import (
     params_from_receiver_snr,
     pdf,
 )
-from backscatter_capacity.errors import DomainError, UnsupportedParameterError
+from backscatter_capacity.errors import DomainError
 from backscatter_capacity.validation import _integrate_moment
 
 PDF_1_0_AT_1 = 0.22778774549906687      # 2 K0(2)
@@ -66,12 +66,18 @@ class TestParams:
         assert p.a == pytest.approx(4.898979485566356, rel=1e-12)
         assert p.b == pytest.approx(3.4641016151377544, rel=1e-12)
 
-    def test_rho_one_is_representable_but_not_analytic(self):
+    def test_rho_one_has_no_bessel_constants(self):
+        # a, b and pdf_scale are the Bessel-form constants of rho < 1; at
+        # rho = 1 they are a library error, never a ZeroDivisionError
         p = params_from_receiver_snr(10.0, 1.0)
         assert p.gamma_bar == pytest.approx(10.0)
-        assert not p.analytic_ok
-        with pytest.raises(UnsupportedParameterError):
-            _ = p.a
+        for name in ("a", "b", "pdf_scale"):
+            with pytest.raises(DomainError):
+                getattr(p, name)
+        assert p.tail_rate == pytest.approx(math.sqrt(0.2), rel=1e-15)
+        # a - b tends to the same rate as rho -> 1
+        assert ChannelParams(10.0, 1.0 - 1e-6).tail_rate == \
+            pytest.approx(p.tail_rate, rel=1e-6)
 
     def test_from_power_budget(self):
         p = params_from_power_budget(10.0, 1.0)
@@ -146,8 +152,16 @@ class TestPdf:
     def test_errors(self):
         with pytest.raises(DomainError):
             pdf(ChannelParams(1.0, 0.5), 0.0)
-        with pytest.raises(UnsupportedParameterError):
-            pdf(ChannelParams(1.0, 1.0), 1.0)
+        with pytest.raises(DomainError):
+            pdf(ChannelParams(1.0, 1.0), 0.0)
+
+    @pytest.mark.parametrize("gbar", [1e-3, 1.0, 10.0, 1e6])
+    def test_rho_one_exponential_law(self, gbar):
+        # t = sqrt(gamma) = sqrt(s) G with G ~ Exp(1) and s = snr_budget
+        s = gbar / 2.0
+        g = gbar * np.array([1e-8, 1e-3, 0.1, 1.0, 5.0, 50.0])
+        exact = np.exp(-np.sqrt(g / s)) / (2.0 * np.sqrt(g * s))
+        np.testing.assert_allclose(pdf(ChannelParams(gbar, 1.0), g), exact, rtol=1e-13)
 
 
 def _oracle_cdf(gbar, rho, grid):
@@ -193,9 +207,16 @@ class TestCdf:
         vals = [cdf(p, g) for g in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_rho_one_unsupported(self):
-        with pytest.raises(UnsupportedParameterError):
-            cdf(ChannelParams(1.0, 1.0), 1.0)
+    @pytest.mark.parametrize("gbar", [1e-3, 1.0, 10.0, 1e6])
+    def test_rho_one_exponential_law(self, gbar):
+        s = gbar / 2.0
+        g = gbar * np.array([0.0, 1e-8, 1e-3, 0.1, 1.0, 5.0, 50.0, 1e9])
+        exact = -np.expm1(-np.sqrt(g / s))
+        assert np.max(np.abs(cdf(ChannelParams(gbar, 1.0), g) - exact)) < 1e-14
+
+    @pytest.mark.parametrize("gbar, rho", [(2.0, 0.6), (1.0, 0.0), (1.0, 1.0)])
+    def test_no_mass_lost_beyond_cutoff(self, gbar, rho):
+        assert cdf(ChannelParams(gbar, rho), 1e9 * gbar) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("bad", [-1e-12, math.inf, math.nan])
     def test_domain(self, bad):

@@ -37,10 +37,10 @@ class TestParsing:
 
 
 class TestSweepSpec:
-    def test_rho_one_with_analytic_method_rejected(self):
-        with pytest.raises(ConfigError, match="mc or the asymptotics"):
-            SweepSpec(mode="fixed_receiver_snr", snr_db_grid=(0.0,),
-                      rho_list=(1.0,), methods=("quadrature",))
+    def test_rho_one_with_analytic_methods_accepted(self):
+        spec = SweepSpec(mode="fixed_receiver_snr", snr_db_grid=(0.0,),
+                         rho_list=(1.0,), methods=("quadrature", "series"))
+        assert spec.rho_list == (1.0,)
 
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError):
@@ -167,9 +167,21 @@ class TestCliEndToEnd:
 
     def test_validation_error_exit_1(self, capsys):
         code = main(["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "0",
-                     "--rho", "1", "--method", "quadrature"])
+                     "--rho", "1.5", "--method", "quadrature"])
         assert code == 1
-        assert "mc or the asymptotics" in capsys.readouterr().err
+        assert "rho values must lie in [0, 1]" in capsys.readouterr().err
+
+    def test_sweep_rho_one_analytic_exit_0(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--mode", "fixed_power_budget", "--snr-db", "0,20",
+                     "--rho", "1", "--method", "quadrature,series",
+                     "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == 4
+        for snr in ("0", "20"):
+            quad, series = (float(r[5]) for r in rows if r[2] == snr)
+            assert series == pytest.approx(quad, rel=1e-9)
 
     def test_convergence_error_exit_2(self, monkeypatch, tmp_path, capsys):
         def boom(*a, **k):
@@ -208,8 +220,14 @@ class TestCliEndToEnd:
         assert data[0] == "rho,snr_db,gamma_bar_linear,gamma,density"
         assert float(data[1].split(",")[4]) == pytest.approx(0.227787745, rel=1e-8)
 
-    def test_pdf_rho_one_exit_1(self):
-        assert main(["pdf", "--snr-db", "0", "--rho", "1", "--gamma", "1"]) == 1
+    def test_pdf_rho_one_exit_0(self, capsys):
+        # gamma_bar = 1 at rho = 1: density e^{-sqrt(2 gamma)} / sqrt(2 gamma)
+        assert main(["pdf", "--snr-db", "0", "--rho", "1", "--gamma", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == ["# mode=fixed_receiver_snr", "# tool=bscap pdf v0.1.0",
+                           cli.PDF_CSV_HEADER]
+        assert float(out[3].split(",")[4]) == pytest.approx(math.exp(-2.0) / 2.0,
+                                                            rel=1e-8)
 
     def test_mc_subcommand(self, tmp_path):
         out = tmp_path / "mc.csv"

@@ -16,7 +16,7 @@ from backscatter_capacity.channel_model import (
     ChannelParams,
     Parameterization,
 )
-from backscatter_capacity.errors import ConfigError, DomainError, UnsupportedParameterError
+from backscatter_capacity.errors import ConfigError, DomainError
 from backscatter_capacity.monte_carlo import (
     KsResult,
     McConfig,
@@ -181,6 +181,7 @@ class TestKs:
         for link in ("forward", "backward"):
             assert ks_test_marginal(0.9, cfg, link).passed
 
-    def test_rho_one_unsupported(self):
-        with pytest.raises(UnsupportedParameterError):
-            ks_test(Parameterization(FIXED_RECEIVER_SNR, 1.0, 1.0), CFG)
+    @pytest.mark.parametrize("mode", [FIXED_RECEIVER_SNR, FIXED_POWER_BUDGET])
+    def test_rho_one_passes(self, mode):
+        cfg = McConfig(n_samples=50_000, seed=81, n_batches=100)
+        assert ks_test(Parameterization(mode, 1.0, 1.0), cfg).passed

@@ -179,18 +179,36 @@ class TestHyp2f1:
                 assert hyp2f1_symmetric(k, rho) == pytest.approx(ref, rel=1e-12)
 
     def test_complex_orders_against_mpmath(self):
-        # the orders capacity_series sums along its contour Re s = 1/2
-        from backscatter_capacity.special_functions import _hyp2f1_series
+        # the orders capacity_series sums: the power series in rho along
+        # Re s = 1/2, the connection formula in 1 - rho along Re s = 0.4
+        from backscatter_capacity.special_functions import (
+            _hyp2f1_near_one,
+            _hyp2f1_series,
+        )
         mpmath = pytest.importorskip("mpmath")
         s = 0.5 + 1j * np.array([0.0, 1.0, 4.0, 8.0])
         for rho in (0.3, 0.9, 0.99):
-            got, terms = _hyp2f1_series(s, rho)
+            got, terms = _hyp2f1_series(-s, 1.0, rho)
             ref = np.array([complex(mpmath.hyp2f1(-k, -k, 1, rho)) for k in s])
             assert np.all(np.abs(got - ref) <= 1e-6 * np.abs(ref))
             assert np.all(np.abs(got[:2] - ref[:2]) <= 1e-12 * np.abs(ref[:2]))
             assert terms > 1
-        total, terms = _hyp2f1_series(s, 0.0)
+        total, terms = _hyp2f1_series(-s, 1.0, 0.0)
         assert terms == 1 and np.all(total == 1.0)
+        s = 0.4 + 1j * np.array([-20.0, -3.0, 0.0, 0.5, 2.0, 8.0, 13.0, 20.0])
+        for rho in (0.6, 0.9, 0.9999, 1.0 - 1e-8, 1.0):
+            got, terms = _hyp2f1_near_one(s, rho)
+            with mpmath.workdps(30):
+                ref = np.array([complex(mpmath.hyp2f1(-k, -k, 1, rho)) for k in s])
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+            assert terms <= 60
+
+    def test_gauss_sum_at_rho_one(self):
+        # 2F1(-k, -k; 1; 1) = Gamma(1+2k)/Gamma(1+k)^2, e.g. 4/pi at k = 1/2
+        assert hyp2f1_symmetric(0.5, 1.0) == pytest.approx(4.0 / math.pi, rel=1e-14)
+        for k in (0.3, 1.7, 4.25):
+            ref = math.exp(math.lgamma(1 + 2 * k) - 2 * math.lgamma(1 + k))
+            assert hyp2f1_symmetric(k, 1.0) == pytest.approx(ref, rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
