@@ -21,14 +21,10 @@ from .channel_model import (
     FIXED_POWER_BUDGET,
     FIXED_RECEIVER_SNR,
     ChannelParams,
-    LinkBudget,
     Parameterization,
-    budget_to_snr,
     cdf,
     moment,
     moment_log_derivative,
-    params_from_power_budget,
-    params_from_receiver_snr,
     pdf,
 )
 from .errors import (
@@ -40,7 +36,6 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .monte_carlo import (
-    FadingPairSample,
     KsResult,
     McConfig,
     McResult,
@@ -49,19 +44,14 @@ from .monte_carlo import (
     estimate_moment,
     ks_test,
     ks_test_marginal,
-    sample_pair,
 )
 from .special_functions import (
     AccuracyPolicy,
-    GParams,
     bessel_i0_scaled,
     bessel_k0_scaled,
-    digamma,
-    exp_integral_e1,
     hyp2f1_cross_derivative,
     hyp2f1_neg_int,
     ln_gamma_complex,
-    meijer_g,
 )
 
 __version__ = "0.1.0"

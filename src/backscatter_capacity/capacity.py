@@ -35,7 +35,6 @@ from .special_functions import (
     DEFAULT_POLICY,
     EULER_GAMMA,
     LOG2E,
-    GParams,
     _hyp2f1_near_one,
     _hyp2f1_series,
     exp_integral_e1_scaled,
@@ -93,15 +92,13 @@ def capacity_series(params: ChannelParams,
         log2(e)/(2 pi i) Int Gamma(s)^2 Gamma(1-s) Gamma(1+s)
                              ((1+rho)/gbar)^{-s} 2F1(-s, -s; 1; rho) ds:
 
-    the Meijer kernel G^{3,1}_{1,3} times a 2F1 factor that sums the
-    density's Bessel power series over all orders at once (Euler's
+    the Meijer kernel G^{3,1}_{1,3}, in closed form, times a 2F1 factor that
+    sums the density's Bessel power series over all orders at once (Euler's
     transformation, DLMF 15.8.1): up to rho = 0.6 its power series in rho
     on Re s = 1/2, above it the connection formula in 1 - rho on Re s = 0.4,
     where 1 + 2s is never an integer.  terms_used counts 2F1 terms.
     """
     rho = params.rho
-    kernel = GParams(m=3, n=1, p=1, q=3, a_list=(0.0,), b_list=(0.0, 0.0, 1.0),
-                     z=(1.0 + rho) / params.gamma_bar)
     near_one = rho > _SERIES_SWITCH_RHO
     terms = []
 
@@ -112,7 +109,7 @@ def capacity_series(params: ChannelParams,
 
     try:
         value, err, nodes = mellin_barnes_integral(
-            kernel, policy, hyp2f1, contour_shift=-0.1 if near_one else 0.0)
+            0.4 if near_one else 0.5, (1.0 + rho) / params.gamma_bar, hyp2f1, policy)
     except ConvergenceError as exc:
         raise ConvergenceError(
             "series did not converge",

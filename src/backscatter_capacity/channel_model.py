@@ -1,5 +1,5 @@
-"""Correlated Rayleigh product channel: link budget, SNR distribution,
-moments, and the two SNR parameterizations.
+"""Correlated Rayleigh product channel: SNR distribution, moments, and
+the two SNR parameterizations.
 
 The instantaneous SNR is gamma = snr_scale * g_f * g_b with unit-mean
 exponential power gains whose power correlation is rho, so
@@ -38,31 +38,6 @@ MODES = (FIXED_RECEIVER_SNR, FIXED_POWER_BUDGET)
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Transmit power, aggregate loss and noise power of the reader link."""
-
-    transmit_power: float       # watts
-    aggregate_loss: float       # linear gain in (0, 1]
-    noise_power: float          # watts
-
-    def __post_init__(self):
-        if not (self.transmit_power > 0 and self.noise_power > 0):
-            raise DomainError("powers must be strictly positive")
-        if not (0.0 < self.aggregate_loss <= 1.0):
-            raise DomainError("aggregate loss must lie in (0, 1]")
-
-    @property
-    def equivalent_noise(self) -> float:
-        """Noise referred to the transmitter output."""
-        return self.noise_power / self.aggregate_loss
-
-
-def budget_to_snr(budget: LinkBudget) -> float:
-    """Transmit-referenced SNR P_T * L_t / N_0."""
-    return budget.transmit_power * budget.aggregate_loss / budget.noise_power
 
 
 @dataclass(frozen=True)
@@ -136,17 +111,6 @@ class Parameterization:
 
     def channel_params(self) -> ChannelParams:
         return ChannelParams(self.gamma_bar, self.rho)
-
-
-def params_from_receiver_snr(snr_db: float, rho: float) -> ChannelParams:
-    """Channel at a prescribed mean receiver SNR given in dB."""
-    return Parameterization(FIXED_RECEIVER_SNR, db_to_linear(snr_db), rho).channel_params()
-
-
-def params_from_power_budget(snr_I_db: float, rho: float) -> ChannelParams:
-    """Channel at a prescribed transmit-referenced SNR given in dB;
-    the receiver mean is snr_I * (1 + rho)."""
-    return Parameterization(FIXED_POWER_BUDGET, db_to_linear(snr_I_db), rho).channel_params()
 
 
 def pdf(params: ChannelParams, gamma):

@@ -351,18 +351,14 @@ def _mc_from_args(args, base: McConfig | None = None) -> McConfig:
 
 
 def _policy_from_args(args) -> AccuracyPolicy:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         return AccuracyPolicy(rel_tol=args.tol)
     return DEFAULT_POLICY
 
 
 def _add_common_flags(p, mc=True):
-    p.add_argument("--tol", type=float, default=None,
-                   help="relative tolerance for quadrature/series")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="evaluate sweep points in parallel (results unchanged)")
     if mc:
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -390,6 +386,11 @@ def build_parser() -> _Parser:
     p_fig.add_argument("--figure", required=True,
                        choices=tuple(FIGURE_FLAG_MAP) + FIGURE_IDS)
     _add_common_flags(p_fig)
+    for p in (p_sweep, p_fig):  # the commands that evaluate analytic points
+        p.add_argument("--tol", type=float, default=None,
+                       help="relative tolerance for quadrature/series")
+        p.add_argument("--threads", type=int, default=1,
+                       help="evaluate sweep points in parallel (results unchanged)")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo estimate at given points")
     p_mc.add_argument("--mode", choices=MODES, default=FIXED_RECEIVER_SNR)

@@ -48,12 +48,6 @@ class McConfig:
 
 
 @dataclass(frozen=True)
-class FadingPairSample:
-    g_f: float
-    g_b: float
-
-
-@dataclass(frozen=True)
 class McResult:
     estimate: float
     std_error: float
@@ -86,14 +80,6 @@ def _draw_pairs(rng: np.random.Generator, rho: float, n: int):
     im = sr * z[1] + sq * z[3]
     g_b = 0.5 * (re ** 2 + im ** 2)
     return g_f, g_b
-
-
-def sample_pair(rng_state: np.random.Generator, rho: float) -> FadingPairSample:
-    """One correlated power-gain pair from the supplied generator."""
-    if not (0.0 <= rho <= 1.0):
-        raise DomainError("rho must lie in [0, 1]")
-    g_f, g_b = _draw_pairs(rng_state, rho, 1)
-    return FadingPairSample(float(g_f[0]), float(g_b[0]))
 
 
 def _batches(rho: float, config: McConfig):

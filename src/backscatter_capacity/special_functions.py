@@ -1,10 +1,10 @@
 """Self-contained special-function kernel.
 
 Everything the capacity formulas need: exponentially scaled modified
-Bessel functions I0/K0, real digamma, complex log-gamma, finite Gauss
-hypergeometric sums and their parameter derivatives, the exponential
-integral E1, and a Mellin-Barnes engine evaluating Meijer G-functions
-by vertical-contour quadrature.
+Bessel functions I0/K0, complex log-gamma, finite Gauss hypergeometric
+sums and their parameter derivatives, the scaled exponential integral
+e^x E1(x), and the vertical-contour quadrature of the capacity series'
+Mellin-Barnes integral.
 
 Scaled Bessel variants are the primitives: the product-fading integrands
 combine I0(b t) K0(a t) with exp((b-a) t), which only stays representable
@@ -72,7 +72,7 @@ _ASYM_TERMS = _bessel_asymptotic_terms()
 
 _BESSEL_SWITCH = 14.0
 _K0_QUAD_NODES = 160
-_K0_CHUNK = 16384
+_K0_CHUNK = 2048  # rows of one _k0e_quadrature temporary: 2048 x 160 doubles, 2.6 MB
 
 
 def _check_real_input(x, name: str) -> np.ndarray:
@@ -168,7 +168,7 @@ def bessel_k0_scaled(x):
 
 
 # ----------------------------------------------------------------------
-# log-gamma (complex) and digamma (real)
+# log-gamma (complex)
 # ----------------------------------------------------------------------
 
 _LANCZOS_G = 7.0
@@ -242,36 +242,6 @@ def ln_gamma_complex(z):
     scalar = z_arr.ndim == 0
     out = _ln_gamma_array(np.atleast_1d(z_arr))
     return complex(out[0]) if scalar else out
-
-
-_DIGAMMA_SHIFT = 6.0
-# B_{2n}/(2n) for the asymptotic tail of psi
-_DIGAMMA_TAIL = np.array([
-    1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
-    1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0,
-])
-
-
-def digamma(x):
-    """Real digamma psi(x) for x > 0."""
-    arr = _check_real_input(x, "digamma")
-    if np.any(arr <= 0):
-        raise DomainError("digamma requires x > 0")
-    scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).astype(float)
-    acc = np.zeros_like(w)
-    for _ in range(int(_DIGAMMA_SHIFT) + 1):
-        need = w < _DIGAMMA_SHIFT
-        if not np.any(need):
-            break
-        acc[need] -= 1.0 / w[need]
-        w = np.where(need, w + 1.0, w)
-    inv2 = 1.0 / (w * w)
-    tail = np.zeros_like(w)
-    for c in _DIGAMMA_TAIL[::-1]:
-        tail = (tail + c) * inv2
-    res = acc + np.log(w) - 0.5 / w - tail
-    return float(res[0]) if scalar else res
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +350,7 @@ def hyp2f1_cross_derivative(a: int, b: int, rho: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# exponential integral E1
+# exponential integral E1, scaled
 # ----------------------------------------------------------------------
 
 def _e1_scaled_cf(x: float) -> float:
@@ -403,27 +373,16 @@ def _e1_scaled_cf(x: float) -> float:
 
 
 def _e1_scalar(x: float) -> float:
-    if x <= 1.0:
-        total = 0.0
-        term = 1.0
-        for k in range(1, 30):
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < 1e-18 * max(abs(total), 1.0):
-                break
-        return -EULER_GAMMA - math.log(x) + total
-    return _e1_scaled_cf(x) * math.exp(-x)
-
-
-def exp_integral_e1(x):
-    """Exponential integral E1(x) for x > 0."""
-    arr = _check_real_input(x, "exp_integral_e1")
-    if np.any(arr <= 0):
-        raise DomainError("exp_integral_e1 requires x > 0")
-    if arr.ndim == 0:
-        return _e1_scalar(float(arr))
-    return np.array([_e1_scalar(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+    """E1(x) for 0 < x <= 1 by its power series."""
+    total = 0.0
+    term = 1.0
+    for k in range(1, 30):
+        term *= -x / k
+        contrib = -term / k
+        total += contrib
+        if abs(contrib) < 1e-18 * max(abs(total), 1.0):
+            break
+    return -EULER_GAMMA - math.log(x) + total
 
 
 def exp_integral_e1_scaled(x):
@@ -444,101 +403,39 @@ def exp_integral_e1_scaled(x):
 
 
 # ----------------------------------------------------------------------
-# Meijer G via Mellin-Barnes contour quadrature
+# the capacity series' Mellin-Barnes integral
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GParams:
-    """Meijer G-function specification G^{m,n}_{p,q}[z | a_list; b_list].
-
-    All coefficients are unity (the Fox-H instances used here reduce to
-    this form), parameters are real and z > 0.
-    """
-
-    m: int
-    n: int
-    p: int
-    q: int
-    a_list: tuple
-    b_list: tuple
-    z: float
-
-    def __post_init__(self):
-        if not (0 <= self.m <= self.q and 0 <= self.n <= self.p):
-            raise ParameterError("need 0 <= m <= q and 0 <= n <= p")
-        if len(self.a_list) != self.p or len(self.b_list) != self.q:
-            raise ParameterError("parameter list lengths must match p, q")
-        vals = list(self.a_list) + list(self.b_list) + [self.z]
-        if not all(math.isfinite(v) for v in vals):
-            raise ParameterError("all parameters must be finite")
-        if self.z <= 0:
-            raise ParameterError("z must be positive")
-        lo, hi = self.contour_bounds()
-        if lo >= hi:
-            raise ParameterError(
-                f"no feasible contour: pole families overlap ({lo} >= {hi})")
-
-    def contour_bounds(self) -> tuple[float, float]:
-        lo = max((-b for b in self.b_list[:self.m]), default=-math.inf)
-        hi = min((1.0 - a for a in self.a_list[:self.n]), default=math.inf)
-        return lo, hi
-
-    def contour_abscissa(self) -> float:
-        lo, hi = self.contour_bounds()
-        if math.isfinite(lo) and math.isfinite(hi):
-            return 0.5 * (lo + hi)
-        if math.isfinite(lo):
-            return lo + 1.0
-        if math.isfinite(hi):
-            return hi - 1.0
-        return 0.0
-
-    def decay_rate(self) -> float:
-        """Large-|t| decay rate of |integrand| ~ exp(-rate*|t|) along the
-        vertical contour."""
-        return math.pi * (self.m + self.n - 0.5 * (self.p + self.q))
+# |_mb_kernel(c + it, z)| decays like exp(-2 pi |t|); this sets the truncation
+_MB_DECAY_RATE = 2.0 * math.pi
 
 
-def _mb_integrand(params: GParams, c: float, t: np.ndarray,
-                  factor=None) -> np.ndarray:
-    s = c + 1j * t
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        llog = -s * math.log(params.z)
-        for b in params.b_list[:params.m]:
-            llog = llog + _ln_gamma_array(b + s)
-        for a in params.a_list[:params.n]:
-            llog = llog + _ln_gamma_array(1.0 - a - s)
-        for b in params.b_list[params.m:]:
-            llog = llog - _ln_gamma_array(1.0 - b - s)
-        for a in params.a_list[params.n:]:
-            llog = llog - _ln_gamma_array(a + s)
-        vals = np.exp(llog)
-        if factor is not None:
-            vals = vals * factor(s)
-    return np.where(np.isfinite(vals), vals, 0.0).real
+def _mb_kernel(s: np.ndarray, z: float) -> np.ndarray:
+    """Gamma(s)^2 Gamma(1+s) Gamma(1-s) z^{-s}, the Mellin-Barnes kernel of
+    G^{3,1}_{1,3}[z | 0; 0,0,1], as pi Gamma(1+s)^2 z^{-s} / (s sin(pi s))
+    by reflection and recurrence (DLMF 5.5.3, 5.5.1).  Re(1+s) > 1 on every
+    contour 0 < Re s < 1, so one right-half-plane log-gamma serves."""
+    return math.pi * np.exp(2.0 * _lanczos_right(1.0 + s) - s * math.log(z)) \
+        / (s * np.sin(math.pi * s))
 
 
-def mellin_barnes_integral(params: GParams, policy: AccuracyPolicy = DEFAULT_POLICY,
-                           factor=None, contour_shift: float = 0.0):
+def mellin_barnes_integral(c: float, z: float, factor,
+                           policy: AccuracyPolicy = DEFAULT_POLICY):
     """(value, error_estimate, n_nodes) of
-    1/(2 pi i) * Int Gamma-kernel z^{-s} factor(s) ds along the vertical
-    contour, exploiting the conjugate symmetry of real parameters.
+    1/(2 pi i) * Int _mb_kernel(s, z) factor(s) ds along Re s = c, with
+    0 < c < 1 and z > 0, exploiting the conjugate symmetry of the kernel.
 
-    factor, if given, maps an array of contour points s to complex values
-    with factor(conj(s)) = conj(factor(s)) that stay bounded along the
-    contour, so the kernel's decay rate still sets the truncation.
+    factor maps an array of contour points s to complex values with
+    factor(conj(s)) = conj(factor(s)) that stay bounded along the contour,
+    so the kernel's decay rate still sets the truncation.
     """
-    rate = params.decay_rate()
-    if rate <= 0:
-        raise ParameterError(
-            "vertical-contour integral diverges: m + n <= (p + q)/2")
-    c = params.contour_abscissa() + contour_shift
-    lo, hi = params.contour_bounds()
-    if not (lo < c < hi):
-        raise ParameterError("shifted contour leaves the feasible strip")
+    T = (-math.log(policy.rel_tol * 1e-3)) / _MB_DECAY_RATE + policy.contour_truncation_margin
 
-    T = (-math.log(policy.rel_tol * 1e-3)) / rate + policy.contour_truncation_margin
-    g = lambda t: _mb_integrand(params, c, t, factor)
+    def g(t):
+        s = c + 1j * t
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = _mb_kernel(s, z) * factor(s)
+        return np.where(np.isfinite(vals), vals, 0.0).real
 
     for _attempt in range(4):
         h = min(0.5, T / 64.0)
@@ -563,17 +460,11 @@ def mellin_barnes_integral(params: GParams, policy: AccuracyPolicy = DEFAULT_POL
         if not converged:
             raise ConvergenceError(
                 "Mellin-Barnes quadrature did not reach tolerance",
-                {"nodes": n_nodes, "T": T, "last_delta": err, "z": params.z})
+                {"nodes": n_nodes, "T": T, "last_delta": err, "z": z})
         # empirical tail check against the exp(-rate t) bound
-        tail = abs(float(g(np.array([T]))[0])) / (rate * math.pi)
+        tail = abs(float(g(np.array([T]))[0])) / (_MB_DECAY_RATE * math.pi)
         if tail <= max(policy.rel_tol * abs(value), policy.abs_tol):
             return value, err + tail, n_nodes
         T *= 1.5
     raise ConvergenceError("Mellin-Barnes tail did not close",
-                           {"T": T, "tail": tail, "z": params.z})
-
-
-def meijer_g(params: GParams, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
-    """Numerical Meijer G-function value for real parameters and z > 0."""
-    value, _err, _n = mellin_barnes_integral(params, policy)
-    return value
+                           {"T": T, "tail": tail, "z": z})

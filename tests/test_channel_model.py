@@ -1,4 +1,4 @@
-"""Channel-model tests: link budget, density, moments, parameterizations.
+"""Channel-model tests: density, moments, parameterizations.
 
 Frozen constants come from 25-digit mpmath quadrature/Bessel evaluations.
 """
@@ -16,15 +16,11 @@ from backscatter_capacity.channel_model import (
     FIXED_POWER_BUDGET,
     FIXED_RECEIVER_SNR,
     ChannelParams,
-    LinkBudget,
     Parameterization,
-    budget_to_snr,
     cdf,
     db_to_linear,
     moment,
     moment_log_derivative,
-    params_from_power_budget,
-    params_from_receiver_snr,
     pdf,
 )
 from backscatter_capacity.errors import DomainError
@@ -35,41 +31,21 @@ PDF_1_05_AT_1 = 0.17712300043814646     # 6 I0(2 sqrt3) K0(2 sqrt6)
 CDF_1_0_AT_1 = 0.7202682363669551       # 1 - 2 K1(2)
 
 
-class TestLinkBudget:
-    @pytest.mark.parametrize("pt, lt, n0", [
-        (1.0, 1.0, 1e-3),
-        (1.0, 1e-6, 1e-9),
-        (2.0, 0.5, 1e-3),
-    ])
-    def test_snr_1000(self, pt, lt, n0):
-        b = LinkBudget(pt, lt, n0)
-        assert budget_to_snr(b) == pytest.approx(1000.0, rel=1e-12)
-        assert budget_to_snr(b) == pytest.approx(pt / b.equivalent_noise, rel=1e-12)
-
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            LinkBudget(0.0, 0.5, 1e-3)
-        with pytest.raises(DomainError):
-            LinkBudget(1.0, 1.5, 1e-3)
-        with pytest.raises(DomainError):
-            LinkBudget(1.0, 0.5, 0.0)
-
-
 class TestParams:
     def test_from_receiver_snr(self):
-        p = params_from_receiver_snr(0.0, 0.0)
+        p = Parameterization(FIXED_RECEIVER_SNR, db_to_linear(0.0), 0.0).channel_params()
         assert p.gamma_bar == 1.0
         assert p.a == pytest.approx(2.0, rel=1e-14)
         assert p.b == 0.0
 
-        p = params_from_receiver_snr(0.0, 0.5)
+        p = Parameterization(FIXED_RECEIVER_SNR, db_to_linear(0.0), 0.5).channel_params()
         assert p.a == pytest.approx(4.898979485566356, rel=1e-12)
         assert p.b == pytest.approx(3.4641016151377544, rel=1e-12)
 
     def test_rho_one_has_no_bessel_constants(self):
         # a, b and pdf_scale are the Bessel-form constants of rho < 1; at
         # rho = 1 they are a library error, never a ZeroDivisionError
-        p = params_from_receiver_snr(10.0, 1.0)
+        p = Parameterization(FIXED_RECEIVER_SNR, db_to_linear(10.0), 1.0).channel_params()
         assert p.gamma_bar == pytest.approx(10.0)
         for name in ("a", "b", "pdf_scale"):
             with pytest.raises(DomainError):
@@ -80,18 +56,21 @@ class TestParams:
             pytest.approx(p.tail_rate, rel=1e-6)
 
     def test_from_power_budget(self):
-        p = params_from_power_budget(10.0, 1.0)
-        assert p.gamma_bar == pytest.approx(20.0, rel=1e-14)
-        assert params_from_power_budget(0.0, 0.0).gamma_bar == \
-            params_from_receiver_snr(0.0, 0.0).gamma_bar
-        assert params_from_power_budget(-20.0, 0.5).gamma_bar == \
-            pytest.approx(0.015, rel=1e-12)
+        def budget(x_db, rho):
+            return Parameterization(FIXED_POWER_BUDGET, db_to_linear(x_db), rho).channel_params()
+
+        assert budget(10.0, 1.0).gamma_bar == pytest.approx(20.0, rel=1e-14)
+        assert budget(0.0, 0.0).gamma_bar == Parameterization(
+            FIXED_RECEIVER_SNR, db_to_linear(0.0), 0.0).channel_params().gamma_bar
+        assert budget(-20.0, 0.5).gamma_bar == pytest.approx(0.015, rel=1e-12)
 
     def test_parameterization_consistency(self):
         for x_db in (-10.0, 0.0, 17.0):
             for rho in (0.0, 0.3, 1.0):
-                lhs = params_from_power_budget(x_db, rho).gamma_bar
-                rhs = params_from_receiver_snr(x_db, rho).gamma_bar * (1.0 + rho)
+                lhs = Parameterization(FIXED_POWER_BUDGET, db_to_linear(x_db),
+                                       rho).channel_params().gamma_bar
+                rhs = Parameterization(FIXED_RECEIVER_SNR, db_to_linear(x_db),
+                                       rho).channel_params().gamma_bar * (1.0 + rho)
                 assert lhs == rhs
 
     def test_mode_round_trip(self):
@@ -111,7 +90,7 @@ class TestParams:
         with pytest.raises(DomainError):
             ChannelParams(1.0, -0.1)
         with pytest.raises(DomainError):
-            params_from_receiver_snr(0.0, 1.2)
+            Parameterization(FIXED_RECEIVER_SNR, db_to_linear(0.0), 1.2).channel_params()
 
 
 class TestPdf:

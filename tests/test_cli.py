@@ -165,6 +165,17 @@ class TestCliEndToEnd:
                   "--rho", "0", "--method", "awgn"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--snr-db", "0", "--rho", "0", "--samples", "20000", "--tol", "1e-3"],
+        ["pdf", "--snr-db", "0", "--rho", "0", "--gamma", "1", "--threads", "2"],
+    ])
+    def test_flags_a_command_ignores_exit_1(self, argv, capsys):
+        # --tol and --threads act on sweep and figure only
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_validation_error_exit_1(self, capsys):
         code = main(["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "0",
                      "--rho", "1.5", "--method", "quadrature"])
