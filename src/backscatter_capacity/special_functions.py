@@ -72,7 +72,7 @@ _ASYM_TERMS = _bessel_asymptotic_terms()
 
 _BESSEL_SWITCH = 14.0
 _K0_QUAD_NODES = 160
-_K0_CHUNK = 2048  # rows of one _k0e_quadrature temporary: 2048 x 160 doubles, 2.6 MB
+_K0_CHUNK = 2048  # rows of the _k0e_quadrature buffer: 2048 x 160 doubles, 2.6 MB
 
 
 def _check_real_input(x, name: str) -> np.ndarray:
@@ -133,13 +133,20 @@ def _k0e_small(x: np.ndarray) -> np.ndarray:
 def _k0e_quadrature(x: np.ndarray) -> np.ndarray:
     # e^x K0(x) = \int_0^inf exp(-x (cosh t - 1)) dt, cut where the drop
     # reaches e^-46; the integrand is smooth so Gauss-Legendre saturates.
+    # One buffer serves every chunk; each step is the ufunc of
+    # T * (exp(-x (cosh(T u) - 1)) @ w), applied in place.
     u, w = gauss_legendre_rule(_K0_QUAD_NODES)
     out = np.empty_like(x)
+    buf = np.empty((min(x.size, _K0_CHUNK), _K0_QUAD_NODES))
     for lo in range(0, x.size, _K0_CHUNK):
         xs = x[lo:lo + _K0_CHUNK]
+        vals = buf[:xs.size]
         T = np.arccosh(1.0 + 46.0 / xs)
-        t = T[:, None] * u[None, :]
-        vals = np.exp(-xs[:, None] * (np.cosh(t) - 1.0))
+        np.multiply(T[:, None], u[None, :], out=vals)
+        np.cosh(vals, out=vals)
+        np.subtract(vals, 1.0, out=vals)
+        np.multiply(-xs[:, None], vals, out=vals)
+        np.exp(vals, out=vals)
         out[lo:lo + _K0_CHUNK] = T * (vals @ w)
     return out
 
@@ -385,21 +392,15 @@ def _e1_scalar(x: float) -> float:
     return -EULER_GAMMA - math.log(x) + total
 
 
-def exp_integral_e1_scaled(x):
-    """exp(x) * E1(x) for x > 0; representable at any x where plain E1
-    would underflow against the exponential."""
-    arr = _check_real_input(x, "exp_integral_e1_scaled")
-    if np.any(arr <= 0):
-        raise DomainError("exp_integral_e1_scaled requires x > 0")
-
-    def scaled(v: float) -> float:
-        if v <= 1.0:
-            return math.exp(v) * _e1_scalar(v)
-        return _e1_scaled_cf(v)
-
-    if arr.ndim == 0:
-        return scaled(float(arr))
-    return np.array([scaled(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+def exp_integral_e1_scaled(x: float) -> float:
+    """exp(x) * E1(x) for scalar x > 0; representable at any x where plain
+    E1 would underflow against the exponential."""
+    x = float(x)
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError("exp_integral_e1_scaled requires finite x > 0")
+    if x <= 1.0:
+        return math.exp(x) * _e1_scalar(x)
+    return _e1_scaled_cf(x)
 
 
 # ----------------------------------------------------------------------

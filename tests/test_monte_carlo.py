@@ -5,10 +5,15 @@ g unit exponential) was frozen from 25-digit quadrature.
 """
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from backscatter_capacity import monte_carlo
 from backscatter_capacity.capacity import capacity_quadrature
 from backscatter_capacity.channel_model import (
     FIXED_POWER_BUDGET,
@@ -28,6 +33,7 @@ from backscatter_capacity.monte_carlo import (
     ks_test,
     ks_test_marginal,
 )
+from backscatter_capacity.special_functions import LOG2E
 
 RHO1_CAPACITY_40DB = 10.684820137470785
 
@@ -146,6 +152,97 @@ class TestEstimates:
     def test_moment_order_domain(self):
         with pytest.raises(DomainError):
             estimate_moment(Parameterization(FIXED_RECEIVER_SNR, 1.0, 0.5), 5, CFG)
+
+
+def _serial_reference(param, config, transform):
+    """The single-threaded engine, with out-of-place standard_normal((4, n))
+    arithmetic, as the bit-identity reference for the batch pool."""
+    scale = param.snr_budget
+    sr, sq = math.sqrt(param.rho), math.sqrt(1.0 - param.rho)
+    sums, means = [], []
+    for i, size in enumerate(config.batch_sizes()):
+        z = batch_rng(config.seed, i).standard_normal((4, size))
+        g_f = 0.5 * (z[0] ** 2 + z[1] ** 2)
+        re = sr * z[0] + sq * z[2]
+        im = sr * z[1] + sq * z[3]
+        g_b = 0.5 * (re ** 2 + im ** 2)
+        s = float(np.sum(transform(scale * g_f * g_b)))
+        sums.append(s)
+        means.append(s / size)
+    estimate = math.fsum(sums) / config.n_samples
+    std_error = float(np.std(np.array(means), ddof=1) / math.sqrt(len(means)))
+    return estimate, std_error, tuple(means)
+
+
+def _small_estimate() -> str:
+    cfg = McConfig(n_samples=20_000, seed=33, n_batches=100)
+    return repr(estimate_capacity(
+        Parameterization(FIXED_RECEIVER_SNR, 10.0, 0.5), cfg))
+
+
+class TestBatchPool:
+    CFG = McConfig(n_samples=100_050, seed=31, n_batches=100)  # uneven batches
+
+    @pytest.mark.parametrize("mode", [FIXED_RECEIVER_SNR, FIXED_POWER_BUDGET])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_bit_identical_to_serial_reference(self, mode, rho):
+        param = Parameterization(mode, 10.0, rho)
+        res = estimate_capacity(param, self.CFG)
+        ref = _serial_reference(param, self.CFG, lambda g: LOG2E * np.log1p(g))
+        assert repr((res.estimate, res.std_error, res.batch_estimates)) == repr(ref)
+        for k in (1, 2, 3, 4):
+            res = estimate_moment(param, k, self.CFG)
+            ref = _serial_reference(param, self.CFG, lambda g: g ** k)
+            assert repr((res.estimate, res.std_error, res.batch_estimates)) == repr(ref)
+
+    def test_substreams_opened_on_calling_thread(self, monkeypatch):
+        threads = []
+        opened = monte_carlo.batch_rng
+
+        def recording(seed, batch_index):
+            threads.append(threading.get_ident())
+            return opened(seed, batch_index)
+
+        monkeypatch.setattr(monte_carlo, "batch_rng", recording)
+        param = Parameterization(FIXED_RECEIVER_SNR, 10.0, 0.5)
+        estimate_capacity(param, self.CFG)
+        estimate_moment(param, 2, self.CFG)
+        assert len(threads) == 2 * self.CFG.n_batches
+        assert set(threads) == {threading.get_ident()}
+
+    def test_concurrent_callers_share_the_pool(self):
+        # more callers than cores, switching threads often: every caller
+        # must still get the bits of its own serial result
+        cfg = McConfig(n_samples=20_000, seed=32, n_batches=100)
+        params = [Parameterization(FIXED_RECEIVER_SNR, 10.0, rho)
+                  for rho in (0.0, 0.3, 0.6, 0.9, 1.0, 0.5, 0.7, 0.1)]
+        expected = [repr(estimate_capacity(p, cfg)) for p in params]
+        got = [None] * len(params)
+
+        def call(j):
+            got[j] = repr(estimate_capacity(params[j], cfg))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(j,))
+                       for j in range(len(params))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == expected
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_a_working_pool(self):
+        # the parent's pool threads do not survive a fork; the child must
+        # start its own instead of queueing work nobody runs
+        expected = _small_estimate()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_small_estimate).get(timeout=60) == expected
 
 
 class TestKs:

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backscatter_capacity.errors import DomainError, ParameterError, PoleError
+from backscatter_capacity.quadrature import gauss_legendre_rule
 from backscatter_capacity.special_functions import (
+    _K0_QUAD_NODES,
     AccuracyPolicy,
     bessel_i0_scaled,
     bessel_k0_scaled,
@@ -85,6 +87,20 @@ class TestBesselScaled:
         xs = np.array([0.3, 5.0, 20.0])
         np.testing.assert_allclose(
             bessel_k0_scaled(xs), [bessel_k0_scaled(float(x)) for x in xs], rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4097])
+    def test_mid_range_buffer_matches_out_of_place(self, n):
+        # the mid range (1, 14] reuses one buffer across 2048-row chunks;
+        # every chunk must give the bits of the out-of-place expression
+        x = np.linspace(1.0 + 1e-9, 14.0, n)
+        u, w = gauss_legendre_rule(_K0_QUAD_NODES)
+        ref = np.empty(n)
+        for lo in range(0, n, 2048):
+            xs = x[lo:lo + 2048]
+            T = np.arccosh(1.0 + 46.0 / xs)
+            vals = np.exp(-xs[:, None] * (np.cosh(T[:, None] * u[None, :]) - 1.0))
+            ref[lo:lo + 2048] = T * (vals @ w)
+        assert bessel_k0_scaled(x).tobytes() == ref.tobytes()
 
 
 class TestLnGamma:
