@@ -8,7 +8,11 @@ Mellin-Barnes integral.
 
 Scaled Bessel variants are the primitives: the product-fading integrands
 combine I0(b t) K0(a t) with exp((b-a) t), which only stays representable
-when the exponential factors are carried analytically.
+when the exponential factors are carried analytically.  K0 is its power
+series for x <= 1, a Chebyshev expansion in ln x on (1, 22] and the
+asymptotic series above; I0 is its power series up to 22 and the asymptotic
+series above.  Both are within 1e-15 relative of mpmath on [1e-8, 1e6]
+(at most 6.9e-16 measured).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError, PoleError
-from .quadrature import gauss_legendre_rule
 
 EULER_GAMMA = 0.5772156649015328606
 LOG2E = 1.4426950408889634074
@@ -35,11 +38,9 @@ class AccuracyPolicy:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_quadrature_nodes: int = 200_000
-    contour_truncation_margin: float = 4.0
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0
-                and self.contour_truncation_margin > 0):
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ParameterError("tolerances must be strictly positive")
         if self.rel_tol < 100 * _EPS:
             raise ParameterError("rel_tol below 100*machine-epsilon is not honest")
@@ -70,9 +71,40 @@ def _bessel_asymptotic_terms(n_terms: int = 20) -> np.ndarray:
 
 _ASYM_TERMS = _bessel_asymptotic_terms()
 
-_BESSEL_SWITCH = 14.0
-_K0_QUAD_NODES = 160
-_K0_CHUNK = 2048  # rows of the _k0e_quadrature buffer: 2048 x 160 doubles, 2.6 MB
+# Upper end of the Chebyshev range of K0 and of the I0 power series; both
+# asymptotic series are within 4e-16 from here on.  They omit a term of
+# relative size e^{-2x} (DLMF 10.40): 7e-13 at x = 14, 8e-20 at x = 22.
+_BESSEL_SWITCH = 22.0
+
+# Chebyshev coefficients of sqrt(x) e^x K0(x) in y = 2 ln x / ln 22 - 1 on
+# 1 < x <= 22: interpolation at the 22 first-kind nodes, computed with mpmath
+# at 40 digits and rounded to double.  The branch cut of K0 lies at
+# Im ln x = +-pi, so they decay geometrically; the first dropped one is 7e-19.
+_K0_CHEB_COEF = (
+    1.2094234163451103,
+    0.04882133781144022,
+    -0.01391729053212102,
+    0.002162920812156568,
+    -9.761415531882286e-05,
+    -3.2182661018949244e-05,
+    6.687821226286605e-06,
+    -1.1495916245986423e-07,
+    -1.42417942638068e-07,
+    1.8366912656106437e-08,
+    1.522998205275961e-09,
+    -5.912283499678104e-10,
+    1.6380941266071924e-11,
+    1.3142860849899405e-11,
+    -1.4605907771819136e-12,
+    -2.1636496164705884e-13,
+    5.191765743941238e-14,
+    1.931638657334339e-15,
+    -1.4276925741889846e-15,
+    3.666039660211693e-17,
+    3.3968309992009865e-17,
+    -2.832136378538843e-18,
+)
+_BESSEL_CHUNK = 4096  # elements per chunk of the I0 series and K0 Chebyshev: 32 KB
 
 
 def _check_real_input(x, name: str) -> np.ndarray:
@@ -88,6 +120,18 @@ def _i0_series(x: np.ndarray) -> np.ndarray:
     for c in _I0_SERIES_COEF[::-1]:
         acc = acc * y + c
     return acc
+
+
+def _i0e_series(x: np.ndarray) -> np.ndarray:
+    # d ln I0 / d ln(x^2/4) = (x/2) I1/I0 amplifies the rounding of x*x to
+    # 5 ulp at x = 22, so its exact remainder (Dekker's product) goes back
+    # in to first order, with I1/I0 ~ 2x/(1 + 2x)
+    split = 134217729.0 * x
+    hi = split - (split - x)
+    lo = x - hi
+    rem = ((hi * hi - x * x) + 2.0 * hi * lo) + lo * lo
+    i0 = _i0_series(x)
+    return (i0 + i0 * (rem / (1.0 + 2.0 * x))) * np.exp(-x)
 
 
 def _poly_inv(x: np.ndarray, coeffs: np.ndarray, alternating: bool) -> np.ndarray:
@@ -111,8 +155,12 @@ def bessel_i0_scaled(x):
 
     small = arr <= _BESSEL_SWITCH
     if np.any(small):
+        # in chunks, so the temporaries stay cache-sized
         xs = arr[small]
-        out[small] = _i0_series(xs) * np.exp(-xs)
+        i0e = np.empty_like(xs)
+        for lo in range(0, xs.size, _BESSEL_CHUNK):
+            i0e[lo:lo + _BESSEL_CHUNK] = _i0e_series(xs[lo:lo + _BESSEL_CHUNK])
+        out[small] = i0e
     if np.any(~small):
         xl = arr[~small]
         out[~small] = _poly_inv(xl, _ASYM_TERMS, alternating=False) \
@@ -130,24 +178,33 @@ def _k0e_small(x: np.ndarray) -> np.ndarray:
     return k0 * np.exp(x)
 
 
-def _k0e_quadrature(x: np.ndarray) -> np.ndarray:
-    # e^x K0(x) = \int_0^inf exp(-x (cosh t - 1)) dt, cut where the drop
-    # reaches e^-46; the integrand is smooth so Gauss-Legendre saturates.
-    # One buffer serves every chunk; each step is the ufunc of
-    # T * (exp(-x (cosh(T u) - 1)) @ w), applied in place.
-    u, w = gauss_legendre_rule(_K0_QUAD_NODES)
+def _k0e_chebyshev(x: np.ndarray) -> np.ndarray:
+    # Clenshaw's recurrence b_k = c_k + 2y b_{k+1} - b_{k+2}, then
+    # c_0 + y b_1 - b_2, divided by sqrt(x).  Chunks of the input run in
+    # place through five scratch rows allocated once per call.
     out = np.empty_like(x)
-    buf = np.empty((min(x.size, _K0_CHUNK), _K0_QUAD_NODES))
-    for lo in range(0, x.size, _K0_CHUNK):
-        xs = x[lo:lo + _K0_CHUNK]
-        vals = buf[:xs.size]
-        T = np.arccosh(1.0 + 46.0 / xs)
-        np.multiply(T[:, None], u[None, :], out=vals)
-        np.cosh(vals, out=vals)
-        np.subtract(vals, 1.0, out=vals)
-        np.multiply(-xs[:, None], vals, out=vals)
-        np.exp(vals, out=vals)
-        out[lo:lo + _K0_CHUNK] = T * (vals @ w)
+    y, y2, b1, b2, tmp = np.empty((5, min(x.size, _BESSEL_CHUNK)))
+    scale = 2.0 / math.log(_BESSEL_SWITCH)
+    for lo in range(0, x.size, _BESSEL_CHUNK):
+        xs = x[lo:lo + _BESSEL_CHUNK]
+        n = xs.size
+        yc, y2c, b1c, b2c, tc = y[:n], y2[:n], b1[:n], b2[:n], tmp[:n]
+        np.log(xs, out=yc)
+        np.multiply(yc, scale, out=yc)
+        np.subtract(yc, 1.0, out=yc)
+        np.add(yc, yc, out=y2c)
+        b1c.fill(_K0_CHEB_COEF[-1])
+        b2c.fill(0.0)
+        for c in _K0_CHEB_COEF[-2:0:-1]:
+            np.multiply(y2c, b1c, out=tc)
+            np.subtract(tc, b2c, out=b2c)
+            np.add(b2c, c, out=b2c)
+            b1c, b2c = b2c, b1c
+        np.multiply(yc, b1c, out=tc)
+        np.subtract(tc, b2c, out=tc)
+        np.add(tc, _K0_CHEB_COEF[0], out=tc)
+        np.sqrt(xs, out=b1c)
+        np.divide(tc, b1c, out=out[lo:lo + n])
     return out
 
 
@@ -166,7 +223,7 @@ def bessel_k0_scaled(x):
     if np.any(small):
         out[small] = _k0e_small(arr[small])
     if np.any(mid):
-        out[mid] = _k0e_quadrature(arr[mid])
+        out[mid] = _k0e_chebyshev(arr[mid])
     if np.any(large):
         xl = arr[large]
         out[large] = _poly_inv(xl, _ASYM_TERMS, alternating=True) \
@@ -409,6 +466,9 @@ def exp_integral_e1_scaled(x: float) -> float:
 
 # |_mb_kernel(c + it, z)| decays like exp(-2 pi |t|); this sets the truncation
 _MB_DECAY_RATE = 2.0 * math.pi
+# added to the contour's decay length: at rel_tol = 1e-10 the contour ends at
+# |Im s| = 8.8, where _hyp2f1_series has lost no more than 1e-11 (rho <= 0.6)
+_MB_CONTOUR_MARGIN = 4.0
 
 
 def _mb_kernel(s: np.ndarray, z: float) -> np.ndarray:
@@ -430,7 +490,7 @@ def mellin_barnes_integral(c: float, z: float, factor,
     factor(conj(s)) = conj(factor(s)) that stay bounded along the contour,
     so the kernel's decay rate still sets the truncation.
     """
-    T = (-math.log(policy.rel_tol * 1e-3)) / _MB_DECAY_RATE + policy.contour_truncation_margin
+    T = (-math.log(policy.rel_tol * 1e-3)) / _MB_DECAY_RATE + _MB_CONTOUR_MARGIN
 
     def g(t):
         s = c + 1j * t

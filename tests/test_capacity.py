@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from backscatter_capacity import validation
+from backscatter_capacity import capacity, validation
 from backscatter_capacity.capacity import (
     _SERIES_SWITCH_RHO,
     METHOD_QUADRATURE,
@@ -34,7 +34,11 @@ from backscatter_capacity.channel_model import (
     Parameterization,
 )
 from backscatter_capacity.errors import ConvergenceError, UnsupportedParameterError
-from backscatter_capacity.special_functions import LOG2E, AccuracyPolicy
+from backscatter_capacity.special_functions import (
+    LOG2E,
+    AccuracyPolicy,
+    _hyp2f1_series,
+)
 
 GOLDEN_CAPACITY = {
     (1.0, 0.0): 0.7391768906631403,
@@ -189,6 +193,31 @@ class TestSeries:
         est = capacity_series(ChannelParams(gbar, 1.0))
         assert est.value == pytest.approx(_ci_si_capacity(gbar), rel=1e-11)
 
+    def test_direct_factor_stays_where_it_is_accurate(self, monkeypatch):
+        # the power series of 2F1(-s, -s; 1; rho) cancels at large |Im s|
+        # (7e-12 at s = 1/2 + 9i, 4e-8 at 1/2 + 13i for rho = 0.6); the
+        # contour's truncation keeps it below |Im s| = 9.5 on the direct path
+        mp = pytest.importorskip("mpmath")
+        widest = {}
+
+        def spy(a, c, z):
+            s = -a.ravel()[np.argmax(np.abs(a.imag))]
+            if abs(s.imag) > abs(widest.get(z, 0j).imag):
+                widest[z] = complex(s)
+            return _hyp2f1_series(a, c, z)
+
+        monkeypatch.setattr(capacity, "_hyp2f1_series", spy)
+        for rho in (0.0, 0.3, 0.6):
+            for snr_db in range(-60, 121, 10):
+                capacity_series(ChannelParams(10.0 ** (snr_db / 10.0), rho))
+        assert set(widest) == {0.0, 0.3, 0.6}
+        for z, s in widest.items():
+            assert abs(s.imag) <= 9.5
+            got = _hyp2f1_series(np.array([-s]), 1.0, z)[0][0]
+            with mp.workdps(30):
+                ref = complex(mp.hyp2f1(-s, -s, 1, z))
+            assert abs(got - ref) <= 1e-11
+
     def test_convergence_error_names_the_point(self):
         with pytest.raises(ConvergenceError) as err:
             capacity_series(ChannelParams(10.0, 0.5),
@@ -253,6 +282,14 @@ class TestAsymptotes:
 
 
 class TestMpmathOracle:
+    @pytest.mark.parametrize("point", [(0.1, 0.6), (3.98, 0.6), (10.0, 0.0), (1e4, 0.0)])
+    def test_quadrature_to_rounding(self, point):
+        # the integrand's Bessel factors are within a few ulp of mpmath, so
+        # the quadrature sum lands within a few ulp of the oracle too
+        # (pytest.approx would add its default abs=1e-12)
+        ref = _oracle_capacity(*point)
+        assert abs(capacity_quadrature(ChannelParams(*point)).value - ref) <= 2e-15 * ref
+
     @pytest.mark.parametrize("point", [(1e4, 0.0), (1e4, 0.999)])
     def test_golden_capacity_at_40db(self, point):
         assert _oracle_capacity(*point) == \

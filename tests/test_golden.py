@@ -17,9 +17,9 @@ from backscatter_capacity.cli import main
 
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN_FIGURE_SHA256 = {
-    "1": "8295e1fe7ccc819623931751cdd4259f3b10274108eac21677a5a862d1d0c551",
-    "2": "7fb961fc12db35380c02b0f94bf59c60f52dd373a8a5335eaf21308e80951538",
-    "3": "f74b588dc8b64b1012151016e9fb45baee8d307911f8d25e625e2e62a75b5249",
+    "1": "60c8e51997f11d580a4b5771e82f7e931f9b16d1ed72edd67296b8bb1c5b1389",
+    "2": "61f0854a56466f123764e849f1a969e1866a79d1e7e1903fd6a60cd880987ab5",
+    "3": "aadb61e74b6361e1abb3c19d6ff40a8e1bfa6b85398fb32619dd4d92250d2912",
 }
 
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backscatter_capacity.errors import DomainError, ParameterError, PoleError
-from backscatter_capacity.quadrature import gauss_legendre_rule
 from backscatter_capacity.special_functions import (
-    _K0_QUAD_NODES,
+    _BESSEL_CHUNK,
+    _BESSEL_SWITCH,
+    _K0_CHEB_COEF,
     AccuracyPolicy,
     bessel_i0_scaled,
     bessel_k0_scaled,
@@ -88,19 +89,51 @@ class TestBesselScaled:
         np.testing.assert_allclose(
             bessel_k0_scaled(xs), [bessel_k0_scaled(float(x)) for x in xs], rtol=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4097])
-    def test_mid_range_buffer_matches_out_of_place(self, n):
-        # the mid range (1, 14] reuses one buffer across 2048-row chunks;
-        # every chunk must give the bits of the out-of-place expression
-        x = np.linspace(1.0 + 1e-9, 14.0, n)
-        u, w = gauss_legendre_rule(_K0_QUAD_NODES)
-        ref = np.empty(n)
-        for lo in range(0, n, 2048):
-            xs = x[lo:lo + 2048]
-            T = np.arccosh(1.0 + 46.0 / xs)
-            vals = np.exp(-xs[:, None] * (np.cosh(T[:, None] * u[None, :]) - 1.0))
-            ref[lo:lo + 2048] = T * (vals @ w)
+    def test_against_mpmath(self):
+        # every branch and both switches: the series up to 1 (K0) and 22
+        # (I0), the Chebyshev expansion of K0 on (1, 22], asymptotics above
+        mp = pytest.importorskip("mpmath")
+        x = np.concatenate([
+            np.geomspace(1e-8, 1e6, 300),
+            *(np.linspace(c - 0.05, c + 0.05, 41) for c in (1.0, 14.0, 22.0)),
+            np.nextafter([1.0, 14.0, 22.0], 0.0), np.nextafter([1.0, 14.0, 22.0], 30.0),
+            np.linspace(1.0, 30.0, 150)[1:]])
+        i0, k0 = bessel_i0_scaled(x), bessel_k0_scaled(x)
+        with mp.workdps(20):
+            for xi, a, b in zip(x.tolist(), i0, k0):
+                ref_i = mp.besseli(0, xi) * mp.exp(-xi)
+                ref_k = mp.besselk(0, xi) * mp.exp(xi)
+                assert abs(a - ref_i) <= 1e-15 * ref_i, xi
+                assert abs(b - ref_k) <= 1e-15 * ref_k, xi
+
+    @pytest.mark.parametrize("n", [1, _BESSEL_CHUNK - 1, _BESSEL_CHUNK,
+                                   _BESSEL_CHUNK + 1, 2 * _BESSEL_CHUNK + 1])
+    def test_mid_range_chunks_match_one_shot_clenshaw(self, n):
+        # the mid range runs chunk by chunk through reused scratch rows;
+        # every chunk must give the bits of the whole-array recurrence
+        x = np.linspace(1.0 + 1e-9, _BESSEL_SWITCH, n)
+        y = np.log(x) * (2.0 / math.log(_BESSEL_SWITCH)) - 1.0
+        y2 = y + y
+        b1, b2 = np.full(n, _K0_CHEB_COEF[-1]), np.zeros(n)
+        for c in _K0_CHEB_COEF[-2:0:-1]:
+            b1, b2 = (y2 * b1 - b2) + c, b1
+        ref = ((y * b1 - b2) + _K0_CHEB_COEF[0]) / np.sqrt(x)
         assert bessel_k0_scaled(x).tobytes() == ref.tobytes()
+
+    def test_chebyshev_coefficients_rederived(self):
+        # interpolation of sqrt(x) e^x K0(x) at the first-kind nodes of
+        # y = 2 ln x / ln 22 - 1, at 40 digits, rounded to double
+        mp = pytest.importorskip("mpmath")
+        n = len(_K0_CHEB_COEF)
+        with mp.workdps(40):
+            half_log = mp.log(_BESSEL_SWITCH) / 2
+            theta = [mp.pi * (j + mp.mpf(1) / 2) / n for j in range(n)]
+            x = [mp.exp((mp.cos(t) + 1) * half_log) for t in theta]
+            f = [mp.sqrt(xj) * mp.exp(xj) * mp.besselk(0, xj) for xj in x]
+            coef = [2 * mp.fsum(fj * mp.cos(k * t) for fj, t in zip(f, theta)) / n
+                    for k in range(n)]
+            coef[0] /= 2
+            assert tuple(float(c) for c in coef) == _K0_CHEB_COEF
 
 
 class TestLnGamma:
