@@ -8,7 +8,6 @@ figure datasets.
 
 from .capacity import (
     CapacityEstimate,
-    asymptote_crossover_check,
     capacity_awgn,
     capacity_high_snr,
     capacity_high_snr_budget,
@@ -55,3 +54,11 @@ from .special_functions import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # validation is imported on first use, as `bscap validate` does
+    if name == "asymptote_crossover_check":
+        from .validation import asymptote_crossover_check
+        return asymptote_crossover_check
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -170,27 +170,3 @@ def capacity_rayleigh(snr_linear: float) -> CapacityEstimate:
     value = LOG2E * exp_integral_e1_scaled(1.0 / snr_linear)
     return CapacityEstimate(value, METHOD_RAYLEIGH, 0.0, {"kind": "reference"})
 
-
-@dataclass(frozen=True)
-class CrossoverReport:
-    """Tightness of the high-SNR asymptote over an SNR grid at fixed rho."""
-
-    rho: float
-    snr_db_grid: tuple
-    gaps: tuple                      # |quadrature - asymptote| per point
-    monotone_decreasing: bool
-    final_gap: float
-
-
-def asymptote_crossover_check(params: ChannelParams,
-                              policy: AccuracyPolicy = DEFAULT_POLICY,
-                              snr_db_grid=(20.0, 30.0, 40.0)) -> CrossoverReport:
-    """Quantify where the slope-1 asymptote becomes tight for params.rho."""
-    gaps = []
-    for snr_db in snr_db_grid:
-        p = ChannelParams(10.0 ** (snr_db / 10.0), params.rho)
-        gaps.append(abs(capacity_quadrature(p, policy).value
-                        - capacity_high_snr(p).value))
-    mono = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
-    return CrossoverReport(params.rho, tuple(snr_db_grid), tuple(gaps),
-                           mono, gaps[-1])

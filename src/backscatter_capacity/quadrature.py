@@ -5,6 +5,13 @@ endpoints, which absorbs the logarithmic endpoint singularity of the
 K0-type integrands evaluated here.  Refinement halves the trapezoidal
 step in u and reuses previous nodes; the error estimate is the change
 between consecutive levels.
+
+The ladder is evaluated in one pass: the arrays that depend on u only are
+cached for levels 0-5 (383 nodes), each call maps them onto (a, b) and
+calls the integrand once on every node, and the levels are then summed and
+tested one by one as if they had been evaluated one at a time, so results
+do not depend on how far the pass reached.  Deeper levels are evaluated
+the same way, one cached table and one integrand call per level.
 """
 
 from __future__ import annotations
@@ -30,31 +37,56 @@ class QuadratureResult:
     converged: bool
 
 
-def _level_nodes(h: float, odd_only: bool) -> np.ndarray:
-    """Positive u nodes for one refinement level."""
-    if odd_only:
-        u = np.arange(h, _U_MAX, 2.0 * h)
-    else:
-        u = np.arange(0.0, _U_MAX, h)
-    return u
+# Levels 0.._LADDER_DEPTH (383 nodes) share one cached table and one call
+# of the integrand; every capacity point stops at level 5.  A deeper level
+# gets a table and a call of its own (the default node budget ends at 15).
+_LADDER_DEPTH = 5
 
 
-def _transform(u: np.ndarray, a: float, b: float):
-    """Map u to nodes in (a, b) plus weights, endpoint-offset safe.
+@lru_cache(maxsize=16)
+def _ladder(first: int, last: int) -> tuple:
+    """The arrays of levels first..last that depend on u only, in (level,
+    sign) segment order: the t >= 0 mask, e^{-2|t|}, 1 + e^{-2|t|}, cosh u
+    and sech^2 t for t = pi/2 sinh u, plus the segment bounds."""
+    segments = []
+    for level in range(first, last + 1):
+        h = 0.5 ** level
+        u_pos = np.arange(h, _U_MAX, 2.0 * h) if level else np.arange(0.0, _U_MAX, h)
+        segments += [u_pos, -u_pos[u_pos > 0]]  # u = 0 only once
+    u = np.concatenate(segments)
+    t = _HALF_PI * np.sinh(u)
+    et = np.exp(-2.0 * np.abs(t))
+    onep = 1.0 + et
+    table = (t >= 0, et, onep, np.cosh(u), 4.0 * et / onep ** 2,
+             np.cumsum([0] + [s.size for s in segments]))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _level_sums(f, a: float, b: float, ladder: tuple) -> list[tuple[float, int]]:
+    """(sum of w f, node count) of each level of ladder, from one call of f.
 
     Offsets from the endpoints are computed directly from
     1 - tanh(t) = 2/(1 + e^{2t}) so nodes never round onto a or b.
     """
+    pos, et, onep, cosh_u, sech2, bounds = ladder
     half = 0.5 * (b - a)
-    t = _HALF_PI * np.sinh(u)
-    et = np.exp(-2.0 * np.abs(t))
     # distance from the nearer endpoint, exact for large |t|
-    delta = half * 2.0 * et / (1.0 + et)
-    x = np.where(t >= 0, b - delta, a + delta)
-    sech2 = 4.0 * et / (1.0 + et) ** 2
-    w = half * _HALF_PI * np.cosh(u) * sech2
+    delta = half * 2.0 * et / onep
+    x = np.where(pos, b - delta, a + delta)
+    w = half * _HALF_PI * cosh_u * sech2
     keep = (delta > 0) & (w > 0)
-    return x[keep], w[keep]
+    wf = w[keep] * f(x[keep])
+    kept = np.concatenate(([0], np.cumsum(keep)))[bounds]  # kept before each bound
+    sums = []
+    for seg in range(0, len(bounds) - 1, 2):
+        total = 0.0
+        for lo, hi in zip(kept[seg:seg + 2], kept[seg + 1:seg + 3]):  # t >= 0 first
+            if hi > lo:
+                total += float(np.sum(wf[lo:hi]))
+        sums.append((total, int(kept[seg + 2] - kept[seg])))
+    return sums
 
 
 def tanh_sinh(
@@ -69,7 +101,7 @@ def tanh_sinh(
 
     f must accept an ndarray of abscissae strictly inside (a, b) and
     return finite values there; integrable endpoint singularities are
-    allowed.
+    allowed.  It is called once for levels 0-5 and once per deeper level.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("finite interval required")
@@ -80,30 +112,17 @@ def tanh_sinh(
         return QuadratureResult(-res.value, res.error_estimate,
                                 res.n_nodes, res.levels, res.converged)
 
-    def level_sum(h: float, odd_only: bool) -> tuple[float, int]:
-        u_pos = _level_nodes(h, odd_only)
-        total = 0.0
-        count = 0
-        for sign in (1.0, -1.0):
-            u = sign * u_pos
-            if sign < 0:
-                u = u[u_pos > 0]  # u = 0 only once
-            x, w = _transform(u, a, b)
-            if x.size == 0:
-                continue
-            total += float(np.sum(w * f(x)))
-            count += x.size
-        return total, count
-
+    sums = _level_sums(f, a, b, _ladder(0, _LADDER_DEPTH))
+    value, n_nodes = sums[0]
     h = 1.0
-    raw, n_nodes = level_sum(h, odd_only=False)
-    value = h * raw
     err = math.inf
     level = 0
     while n_nodes < max_nodes:
         level += 1
         h *= 0.5
-        odd, n_new = level_sum(h, odd_only=True)
+        if level == len(sums):
+            sums += _level_sums(f, a, b, _ladder(level, level))
+        odd, n_new = sums[level]
         n_nodes += n_new
         new_value = 0.5 * value + h * odd
         err = abs(new_value - value)

@@ -330,6 +330,8 @@ def hyp2f1_neg_int(k: int, rho: float) -> float:
 # up to rho = 0.6, in powers of 1 - rho above.  hyp2f1_symmetric at real
 # non-integer k still reaches it above rho = 0.9998 (0.9999 needs 390,000).
 _HYP2F1_MAX_TERMS = 200_000
+# terms per block of _hyp2f1_series: the direct path needs 1-110 per call
+_HYP2F1_BLOCK = 16
 
 
 def hyp2f1_symmetric(k: float, rho: float) -> float:
@@ -351,19 +353,30 @@ def _hyp2f1_series(a: np.ndarray, c, z: float):
     """(2F1(a, a; c; z), terms summed) by the power series, for 0 <= z < 1
     and real or complex a and c of any shape.
 
-    One array of terms, shaped like a, is carried from term to term, so
-    memory does not grow with the term count.  Terms may grow while m is
-    below |a|, so the stopping rule waits until m has passed it.
+    Terms are summed in blocks of _HYP2F1_BLOCK: the term ratios of a block
+    come from one broadcast, its terms and partial sums go into block rows,
+    so memory does not grow with the term count.  Terms may grow while m is
+    below |a|, so the stopping rule waits until m has passed it; the sum
+    returned is the partial sum at the first m of the block that meets it.
     """
     total = term = np.ones(a.shape, np.result_type(a, c, float))
     if z == 0.0:
         return total, 1
     a_abs = float(np.max(np.abs(a)))
-    for m in range(_HYP2F1_MAX_TERMS):
-        term = term * (z * (m + a) ** 2 / ((m + c) * (m + 1.0)))
-        total = total + term
-        if m > a_abs and np.all(np.abs(term) < 1e-17 * np.abs(total)):
-            return total, m + 2
+    terms = np.empty((_HYP2F1_BLOCK,) + a.shape, total.dtype)
+    totals = np.empty_like(terms)
+    for m0 in range(0, _HYP2F1_MAX_TERMS, _HYP2F1_BLOCK):
+        m = np.arange(m0, min(m0 + _HYP2F1_BLOCK, _HYP2F1_MAX_TERMS), dtype=float)
+        mb = m.reshape(m.shape + (1,) * a.ndim)
+        ratio = z * (mb + a) ** 2 / ((mb + c) * (mb + 1.0))
+        for j in range(m.size):
+            term = np.multiply(term, ratio[j, ...], out=terms[j, ...])
+            total = np.add(total, term, out=totals[j, ...])
+        done = np.abs(terms[:m.size]) < 1e-17 * np.abs(totals[:m.size])
+        stop = np.flatnonzero((m > a_abs) & done.reshape(m.size, -1).all(axis=1))
+        if stop.size:
+            j = int(stop[0])
+            return totals[j].copy(), m0 + j + 2
     raise ConvergenceError("2F1 power series did not converge",
                            {"a_abs": a_abs, "z": z, "terms": _HYP2F1_MAX_TERMS})
 

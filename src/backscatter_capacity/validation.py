@@ -14,8 +14,8 @@ import tempfile
 from dataclasses import dataclass
 
 from .capacity import (
-    asymptote_crossover_check,
     capacity_awgn,
+    capacity_high_snr,
     capacity_high_snr_budget,
     capacity_quadrature,
     capacity_rayleigh,
@@ -150,6 +150,31 @@ def check_series_quadrature(snr_db_grid=(-10, -5, 0, 5, 10, 15, 20, 25, 30),
 # ----------------------------------------------------------------------
 # criterion 4: high-SNR asymptote tightness and correlation loss
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CrossoverReport:
+    """Tightness of the high-SNR asymptote over an SNR grid at fixed rho."""
+
+    rho: float
+    snr_db_grid: tuple
+    gaps: tuple                      # |quadrature - asymptote| per point
+    monotone_decreasing: bool
+    final_gap: float
+
+
+def asymptote_crossover_check(params: ChannelParams,
+                              policy: AccuracyPolicy = DEFAULT_POLICY,
+                              snr_db_grid=(20.0, 30.0, 40.0)) -> CrossoverReport:
+    """Quantify where the slope-1 asymptote becomes tight for params.rho."""
+    gaps = []
+    for snr_db in snr_db_grid:
+        p = ChannelParams(10.0 ** (snr_db / 10.0), params.rho)
+        gaps.append(abs(capacity_quadrature(p, policy).value
+                        - capacity_high_snr(p).value))
+    mono = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
+    return CrossoverReport(params.rho, tuple(snr_db_grid), tuple(gaps),
+                           mono, gaps[-1])
+
 
 def check_asymptote_tightness(rho_list=(0.0, 0.5, 0.9)) -> CheckResult:
     failures = []

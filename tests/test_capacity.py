@@ -18,7 +18,6 @@ from backscatter_capacity.capacity import (
     _SERIES_SWITCH_RHO,
     METHOD_QUADRATURE,
     METHOD_SERIES,
-    asymptote_crossover_check,
     capacity_awgn,
     capacity_high_snr,
     capacity_high_snr_budget,
@@ -39,6 +38,7 @@ from backscatter_capacity.special_functions import (
     AccuracyPolicy,
     _hyp2f1_series,
 )
+from backscatter_capacity.validation import asymptote_crossover_check
 
 GOLDEN_CAPACITY = {
     (1.0, 0.0): 0.7391768906631403,
@@ -239,7 +239,8 @@ class TestAsymptotes:
         assert capacity_high_snr_budget(1e4).value == \
             pytest.approx(11.6222200250, rel=1e-10)
         assert capacity_high_snr_budget(1e3).value == \
-            pytest.approx(capacity_high_snr(ChannelParams(1e3, 0.0)).value, rel=1e-14)
+            pytest.approx(capacity_high_snr(ChannelParams(1e3, 0.0)).value,
+                          rel=1e-14, abs=0)
 
     def test_budget_equals_receiver_form_identity(self):
         # log2(snr_I (1+rho)) - log2(1+rho) == log2(snr_I)
@@ -263,10 +264,10 @@ class TestAsymptotes:
         # linear in (1+rho) at fixed budget
         r0 = capacity_low_snr(Parameterization(FIXED_POWER_BUDGET, 0.01, 0.0)).value
         r1 = capacity_low_snr(Parameterization(FIXED_POWER_BUDGET, 0.01, 1.0)).value
-        assert r1 / r0 == pytest.approx(2.0, rel=1e-14)
+        assert r1 / r0 == pytest.approx(2.0, rel=1e-14, abs=0)
         # in receiver mode it is log2(e) * gamma_bar
         est = capacity_low_snr(Parameterization(FIXED_RECEIVER_SNR, 0.02, 0.7))
-        assert est.value == pytest.approx(LOG2E * 0.02, rel=1e-14)
+        assert est.value == pytest.approx(LOG2E * 0.02, rel=1e-14, abs=0)
 
     def test_low_snr_matches_quadrature_to_two_percent(self):
         p = Parameterization(FIXED_POWER_BUDGET, 1e-3, 0.5)
@@ -293,7 +294,7 @@ class TestMpmathOracle:
     @pytest.mark.parametrize("point", [(1e4, 0.0), (1e4, 0.999)])
     def test_golden_capacity_at_40db(self, point):
         assert _oracle_capacity(*point) == \
-            pytest.approx(GOLDEN_CAPACITY[point], rel=1e-13)
+            pytest.approx(GOLDEN_CAPACITY[point], rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("snr_db, loss", [(50.0, 0.980867470258),
                                               (60.0, 0.993657329045)])
@@ -308,7 +309,7 @@ class TestMpmathOracle:
 
 class TestReferences:
     def test_awgn(self):
-        assert capacity_awgn(1.0).value == pytest.approx(1.0, rel=1e-14)
+        assert capacity_awgn(1.0).value == pytest.approx(1.0, rel=1e-14, abs=0)
         # log2(1001)
         assert capacity_awgn(1000.0).value == pytest.approx(9.9672262588, rel=1e-10)
         assert capacity_awgn(1e-9).value == pytest.approx(LOG2E * 1e-9, rel=1e-6)
@@ -338,3 +339,10 @@ class TestCrossoverReport:
         assert rep.final_gap <= 0.05
         for got, want in zip(rep.gaps, GOLDEN_GAPS[rho]):
             assert got == pytest.approx(want, abs=1e-8)
+
+    def test_package_export(self):
+        # the package exports it from validation, imported on first use
+        import backscatter_capacity
+        assert backscatter_capacity.asymptote_crossover_check is asymptote_crossover_check
+        with pytest.raises(AttributeError):
+            backscatter_capacity.no_such_name

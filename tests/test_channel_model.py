@@ -35,7 +35,7 @@ class TestParams:
     def test_from_receiver_snr(self):
         p = Parameterization(FIXED_RECEIVER_SNR, db_to_linear(0.0), 0.0).channel_params()
         assert p.gamma_bar == 1.0
-        assert p.a == pytest.approx(2.0, rel=1e-14)
+        assert p.a == pytest.approx(2.0, rel=1e-14, abs=0)
         assert p.b == 0.0
 
         p = Parameterization(FIXED_RECEIVER_SNR, db_to_linear(0.0), 0.5).channel_params()
@@ -50,7 +50,7 @@ class TestParams:
         for name in ("a", "b", "pdf_scale"):
             with pytest.raises(DomainError):
                 getattr(p, name)
-        assert p.tail_rate == pytest.approx(math.sqrt(0.2), rel=1e-15)
+        assert p.tail_rate == pytest.approx(math.sqrt(0.2), rel=1e-15, abs=0)
         # a - b tends to the same rate as rho -> 1
         assert ChannelParams(10.0, 1.0 - 1e-6).tail_rate == \
             pytest.approx(p.tail_rate, rel=1e-6)
@@ -59,7 +59,7 @@ class TestParams:
         def budget(x_db, rho):
             return Parameterization(FIXED_POWER_BUDGET, db_to_linear(x_db), rho).channel_params()
 
-        assert budget(10.0, 1.0).gamma_bar == pytest.approx(20.0, rel=1e-14)
+        assert budget(10.0, 1.0).gamma_bar == pytest.approx(20.0, rel=1e-14, abs=0)
         assert budget(0.0, 0.0).gamma_bar == Parameterization(
             FIXED_RECEIVER_SNR, db_to_linear(0.0), 0.0).channel_params().gamma_bar
         assert budget(-20.0, 0.5).gamma_bar == pytest.approx(0.015, rel=1e-12)

@@ -13,12 +13,19 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backscatter_capacity.errors import DomainError, ParameterError, PoleError
+from backscatter_capacity import special_functions
+from backscatter_capacity.errors import (
+    ConvergenceError,
+    DomainError,
+    ParameterError,
+    PoleError,
+)
 from backscatter_capacity.special_functions import (
     _BESSEL_CHUNK,
     _BESSEL_SWITCH,
     _K0_CHEB_COEF,
     AccuracyPolicy,
+    _hyp2f1_series,
     bessel_i0_scaled,
     bessel_k0_scaled,
     exp_integral_e1_scaled,
@@ -176,8 +183,8 @@ class TestLnGamma:
 class TestHyp2f1:
     def test_trivial_and_hand_sums(self):
         assert hyp2f1_neg_int(0, 0.7) == 1.0
-        assert hyp2f1_neg_int(1, 0.3) == pytest.approx(1.3, rel=1e-15)
-        assert hyp2f1_neg_int(2, 0.5) == pytest.approx(3.25, rel=1e-15)
+        assert hyp2f1_neg_int(1, 0.3) == pytest.approx(1.3, rel=1e-15, abs=0)
+        assert hyp2f1_neg_int(2, 0.5) == pytest.approx(3.25, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("k", range(11))
     def test_vandermonde_at_rho_one(self, k):
@@ -194,7 +201,7 @@ class TestHyp2f1:
         for k in (1, 3, 6):
             for rho in (0.2, 0.8):
                 assert hyp2f1_symmetric(float(k) + 0.0, rho) == \
-                    pytest.approx(hyp2f1_neg_int(k, rho), rel=1e-13)
+                    pytest.approx(hyp2f1_neg_int(k, rho), rel=1e-13, abs=0)
 
     def test_noninteger_series_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -230,10 +237,11 @@ class TestHyp2f1:
 
     def test_gauss_sum_at_rho_one(self):
         # 2F1(-k, -k; 1; 1) = Gamma(1+2k)/Gamma(1+k)^2, e.g. 4/pi at k = 1/2
-        assert hyp2f1_symmetric(0.5, 1.0) == pytest.approx(4.0 / math.pi, rel=1e-14)
+        assert hyp2f1_symmetric(0.5, 1.0) == \
+            pytest.approx(4.0 / math.pi, rel=1e-14, abs=0)
         for k in (0.3, 1.7, 4.25):
             ref = math.exp(math.lgamma(1 + 2 * k) - 2 * math.lgamma(1 + k))
-            assert hyp2f1_symmetric(k, 1.0) == pytest.approx(ref, rel=1e-13)
+            assert hyp2f1_symmetric(k, 1.0) == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -242,16 +250,121 @@ class TestHyp2f1:
             hyp2f1_neg_int(2, 1.5)
 
 
+def _reference_hyp2f1_series(a, c, z):
+    """Term by term: one ratio and one stopping test per term."""
+    total = term = np.ones(a.shape, np.result_type(a, c, float))
+    if z == 0.0:
+        return total, 1
+    a_abs = float(np.max(np.abs(a)))
+    for m in range(special_functions._HYP2F1_MAX_TERMS):
+        term = term * (z * (m + a) ** 2 / ((m + c) * (m + 1.0)))
+        total = total + term
+        if m > a_abs and np.all(np.abs(term) < 1e-17 * np.abs(total)):
+            return total, m + 2
+    raise ConvergenceError("2F1 power series did not converge",
+                           {"a_abs": a_abs, "z": z,
+                            "terms": special_functions._HYP2F1_MAX_TERMS})
+
+
+def _same_sum(got, want):
+    """Equal bits, dtype, shape and term count."""
+    (g, gn), (w, wn) = got, want
+    return (type(g), g.dtype, g.shape, g.tobytes(), type(gn), gn) == \
+        (type(w), w.dtype, w.shape, w.tobytes(), type(wn), wn)
+
+
+# z on which every order set below stops at each of m = 14 ... 17, on both
+# sides of the first block boundary (m = 16)
+_STOP_Z = np.linspace(0.02, 0.25, 47)
+
+
+class TestHyp2f1Blocks:
+    """The block-summed series against the term-by-term loop it replaced."""
+
+    def test_real_0d_orders_across_the_block_boundary(self):
+        stops = set()
+        for k in (0.5, 0.1, 0.7):
+            for z in _STOP_Z:
+                got = _hyp2f1_series(np.asarray(-k), 1.0, float(z))
+                want = _reference_hyp2f1_series(np.asarray(-k), 1.0, float(z))
+                assert _same_sum(got, want), (k, z)
+                stops.add(want[1] - 2)
+                ref = float(want[0])
+                assert repr(hyp2f1_symmetric(k, float(z))) == repr(ref)
+        assert {14, 15, 16, 17} <= stops
+
+    def test_complex_orders_scalar_c(self):
+        # the direct path of capacity_series: 2F1(-s, -s; 1; rho)
+        s = 0.5 + 1j * np.linspace(0.0, 9.0, 24)
+        stops = set()
+        for z in list(_STOP_Z) + [0.3, 0.6]:
+            want = _reference_hyp2f1_series(-s, 1.0, float(z))
+            assert _same_sum(_hyp2f1_series(-s, 1.0, float(z)), want), z
+            stops.add(want[1] - 2)
+        assert {14, 15, 16, 17} <= stops
+
+    @pytest.mark.parametrize("rho", [0.61, 0.9, 0.99, 0.9999])
+    def test_complex_orders_array_c(self, rho):
+        # the connection path: both series of _hyp2f1_near_one
+        s = 0.4 + 1j * np.linspace(0.0, 9.0, 24)
+        w = 1.0 - rho
+        for a, c in ((-s, -2.0 * s), (1.0 + s, 2.0 + 2.0 * s)):
+            assert _same_sum(_hyp2f1_series(a, c, w), _reference_hyp2f1_series(a, c, w))
+
+    def test_complex_orders_array_c_across_the_block_boundary(self):
+        s = 0.4 + 1j * np.linspace(0.0, 0.5, 6)  # |a| small: early stops
+        stops = set()
+        for z in _STOP_Z:
+            for a, c in ((-s, -2.0 * s), (1.0 + s, 2.0 + 2.0 * s)):
+                want = _reference_hyp2f1_series(a, c, float(z))
+                assert _same_sum(_hyp2f1_series(a, c, float(z)), want), z
+                stops.add(want[1] - 2)
+        assert {14, 15, 16, 17} <= stops
+
+    def test_2d_orders(self):
+        s = (0.5 + 1j * np.linspace(-4.0, 4.0, 15)).reshape(3, 5)
+        for z in (0.0, 0.13, 0.2, 0.5):
+            assert _same_sum(_hyp2f1_series(-s, 1.0, z), _reference_hyp2f1_series(-s, 1.0, z))
+        assert _same_sum(_hyp2f1_series(-s.real, 1.0, 0.4),
+                         _reference_hyp2f1_series(-s.real, 1.0, 0.4))
+
+    def test_stop_waits_until_m_passes_abs_a(self):
+        # |a| = 5 exactly and every term negligible: the first stop is m = 6
+        for a in (np.array([-3.0 - 4.0j, 0.5]), np.asarray(-5.0)):
+            got = _hyp2f1_series(a, 1.0, 1e-30)
+            assert _same_sum(got, _reference_hyp2f1_series(a, 1.0, 1e-30))
+            assert got[1] == 8
+
+    @pytest.mark.parametrize("cap", [1, 5, 16, 17, 18, 33])
+    def test_term_cap(self, monkeypatch, cap):
+        # at z = 0.2 and k = 0.5 the series stops at m = 17: within a cap of
+        # 18 or 33 terms, not within 17 or fewer
+        monkeypatch.setattr(special_functions, "_HYP2F1_MAX_TERMS", cap)
+        a = np.asarray(-0.5)
+        try:
+            want = _reference_hyp2f1_series(a, 1.0, 0.2)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as got:
+                _hyp2f1_series(a, 1.0, 0.2)
+            assert (str(got.value), got.value.diagnostics) == (str(exc), exc.diagnostics)
+            assert cap <= 17
+        else:
+            assert _same_sum(_hyp2f1_series(a, 1.0, 0.2), want)
+            assert cap > 17
+
+
 class TestCrossDerivative:
     def test_known_values(self):
         assert hyp2f1_cross_derivative(0, 0, 0.9) == 0.0
-        assert hyp2f1_cross_derivative(1, 1, 0.5) == pytest.approx(0.5, rel=1e-14)
-        assert hyp2f1_cross_derivative(1, 2, 0.3) == pytest.approx(0.3, rel=1e-14)
+        assert hyp2f1_cross_derivative(1, 1, 0.5) == \
+            pytest.approx(0.5, rel=1e-14, abs=0)
+        assert hyp2f1_cross_derivative(1, 2, 0.3) == \
+            pytest.approx(0.3, rel=1e-14, abs=0)
 
     def test_symmetry(self):
         for a, b in [(1, 3), (2, 3)]:
             assert hyp2f1_cross_derivative(a, b, 0.4) == \
-                pytest.approx(hyp2f1_cross_derivative(b, a, 0.4), rel=1e-14)
+                pytest.approx(hyp2f1_cross_derivative(b, a, 0.4), rel=1e-14, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
