@@ -218,6 +218,40 @@ class TestSeries:
                 ref = complex(mp.hyp2f1(-s, -s, 1, z))
             assert abs(got - ref) <= 1e-11
 
+    @pytest.mark.parametrize("gamma_bar, rho", [(0.1, 0.0), (10.0, 0.5), (1e4, 0.99),
+                                                (1.0, 1.0)])
+    def test_point_evaluates_factor_once(self, monkeypatch, gamma_bar, rho):
+        # levels 0-2 of the contour and its tail node share one factor call
+        calls = []
+
+        def counting(fn):
+            def counted(s, *args):
+                calls.append(np.size(s))
+                return fn(s, *args)
+            return counted
+
+        for name in ("_hyp2f1_series", "_hyp2f1_near_one"):
+            monkeypatch.setattr(capacity, name, counting(getattr(capacity, name)))
+        est = capacity_series(ChannelParams(gamma_bar, rho))
+        assert calls == [257]
+        assert est.diagnostics["nodes"] == 256
+
+    @pytest.mark.parametrize("rho", [0.61, 0.75, 0.9])
+    def test_connection_path_against_moment_series(self, rho):
+        # at -60 dB the moment series log2(e) sum_k (-1)^{k+1} E{gamma^k}/k,
+        # E{gamma^k} = (gbar/(1+rho))^k k!^2 2F1(-k, -k; 1; rho), is exact
+        # to far below double precision within eight terms
+        mp = pytest.importorskip("mpmath")
+        gbar = 1e-6
+        with mp.workdps(40):
+            x = mp.mpf(gbar) / (1 + mp.mpf(rho))
+            ref = sum((-1) ** (k + 1) * x ** k * mp.factorial(k) ** 2
+                      * mp.hyp2f1(-k, -k, 1, mp.mpf(rho)) / k
+                      for k in range(1, 9)) / mp.log(2)
+        est = capacity_series(ChannelParams(gbar, rho))
+        assert rho > _SERIES_SWITCH_RHO
+        assert est.value == pytest.approx(float(ref), rel=1e-12, abs=0)
+
     def test_convergence_error_names_the_point(self):
         with pytest.raises(ConvergenceError) as err:
             capacity_series(ChannelParams(10.0, 0.5),

@@ -456,3 +456,115 @@ class TestMeijerG:
             AccuracyPolicy(rel_tol=0.0)
         with pytest.raises(ParameterError):
             AccuracyPolicy(rel_tol=1e-16)
+
+
+def _reference_mellin_barnes(c, z, factor, policy=special_functions.DEFAULT_POLICY):
+    """Level by level: one factor call per trapezoid level, one for the tail."""
+    T = (-math.log(policy.rel_tol * 1e-3)) / special_functions._MB_DECAY_RATE \
+        + special_functions._MB_CONTOUR_MARGIN
+
+    def g(t):
+        s = c + 1j * t
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = special_functions._mb_kernel(s, z) * factor(s)
+        return np.where(np.isfinite(vals), vals, 0.0).real
+
+    for _attempt in range(4):
+        h = min(0.5, T / 64.0)
+        t = np.arange(0.0, T, h)
+        vals = g(t)
+        total = float(vals[0]) * 0.5 + float(np.sum(vals[1:]))
+        value = (h / math.pi) * total
+        n_nodes = t.size
+        err = math.inf
+        converged = False
+        while n_nodes < policy.max_quadrature_nodes:
+            h *= 0.5
+            t_odd = np.arange(h, T, 2.0 * h)
+            odd_sum = float(np.sum(g(t_odd)))
+            n_nodes += t_odd.size
+            new_value = 0.5 * value + (h / math.pi) * odd_sum
+            err = abs(new_value - value)
+            value = new_value
+            if err <= max(policy.rel_tol * abs(value), policy.abs_tol):
+                converged = True
+                break
+        if not converged:
+            raise ConvergenceError(
+                "Mellin-Barnes quadrature did not reach tolerance",
+                {"nodes": n_nodes, "T": T, "last_delta": err, "z": z})
+        tail = abs(float(g(np.array([T]))[0])) / (special_functions._MB_DECAY_RATE * math.pi)
+        if tail <= max(policy.rel_tol * abs(value), policy.abs_tol):
+            return value, err + tail, n_nodes
+        T *= 1.5
+    raise ConvergenceError("Mellin-Barnes tail did not close",
+                           {"T": T, "tail": tail, "z": z})
+
+
+def _outcome(fn, *args):
+    """repr of the result, or the error's type, text and diagnostics."""
+    try:
+        return repr(fn(*args))
+    except ConvergenceError as exc:
+        return repr((type(exc), str(exc), exc.diagnostics))
+
+
+def _counting(factor, calls):
+    def counted(s):
+        calls.append(s.size)
+        return factor(s)
+    return counted
+
+
+# elementwise factors: each node's value does not depend on the others
+_ELEMENTWISE = {
+    "one": np.ones_like,
+    "pole": lambda s: 1.0 / (1.0 + s),
+    "gauss": lambda s: np.exp(-s * s / 20.0),
+}
+
+
+class TestMellinBarnesOnePass:
+    """The merged first factor call against the level-by-level loop."""
+
+    @pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
+    @pytest.mark.parametrize("c", [0.4, 0.5])
+    @pytest.mark.parametrize("z", [1e-6, 1.0, 1e6])
+    def test_elementwise_factors(self, name, c, z):
+        for rel_tol in (1e-6, 1e-10, 1e-13):
+            policy = AccuracyPolicy(rel_tol=rel_tol)
+            calls = []
+            got = mellin_barnes_integral(c, z, _counting(_ELEMENTWISE[name], calls), policy)
+            want = _reference_mellin_barnes(c, z, _ELEMENTWISE[name], policy)
+            assert repr(got) == repr(want), rel_tol
+            assert calls[0] == 257
+
+    @pytest.mark.parametrize("max_nodes", [64, 128, 300])
+    def test_node_budget(self, max_nodes):
+        # 64: no level past 0; 128: level 1 misses; 300: level 3 is its own call
+        policy = AccuracyPolicy(rel_tol=1e-13, max_quadrature_nodes=max_nodes)
+        for z in (1.0, 1e6):
+            got = _outcome(mellin_barnes_integral, 0.4, z, np.ones_like, policy)
+            assert got == _outcome(_reference_mellin_barnes, 0.4, z, np.ones_like, policy)
+            assert ("did not reach tolerance" in got) == (max_nodes < 300)
+
+    def test_level_past_depth(self):
+        assert special_functions._MB_DEPTH == 2
+        policy = AccuracyPolicy(rel_tol=1e-13)
+        calls = []
+        got = mellin_barnes_integral(0.4, 1.0, _counting(np.ones_like, calls), policy)
+        assert calls == [257, 256]
+        assert got[2] == 512
+        assert repr(got) == repr(_reference_mellin_barnes(0.4, 1.0, np.ones_like, policy))
+
+    def test_tail_retry(self):
+        # cos(4 (s - c)) = cosh(4t) on the contour: the integrand decays like
+        # exp(-(2 pi - 4) t), too slowly for the first T
+        def factor(s):
+            return np.cos(4.0 * (s - 0.5))
+
+        policy = AccuracyPolicy(rel_tol=1e-10)
+        calls = []
+        got = mellin_barnes_integral(0.5, 1e6, _counting(factor, calls), policy)
+        assert calls == [257, 256, 257, 256]
+        assert repr(got) == repr(_reference_mellin_barnes(0.5, 1e6, factor, policy))
