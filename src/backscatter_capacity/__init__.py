@@ -31,7 +31,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     ParameterError,
-    PoleError,
     UnsupportedParameterError,
 )
 from .monte_carlo import (
@@ -48,9 +47,7 @@ from .special_functions import (
     AccuracyPolicy,
     bessel_i0_scaled,
     bessel_k0_scaled,
-    hyp2f1_cross_derivative,
     hyp2f1_neg_int,
-    ln_gamma_complex,
 )
 
 __version__ = "0.1.0"

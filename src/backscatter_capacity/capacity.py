@@ -71,7 +71,7 @@ def capacity_quadrature(params: ChannelParams,
         return LOG2E * np.log1p(t * t) * _pdf_t(params, t)
 
     res = tanh_sinh(integrand, 0.0, t_max, rel_tol=policy.rel_tol,
-                    abs_tol=policy.abs_tol, max_nodes=policy.max_quadrature_nodes)
+                    max_nodes=policy.max_quadrature_nodes)
     if not res.converged:
         raise ConvergenceError(
             "capacity quadrature did not converge",

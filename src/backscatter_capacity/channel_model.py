@@ -28,7 +28,6 @@ from .special_functions import (
     bessel_i0_scaled,
     bessel_k0_scaled,
     hyp2f1_symmetric,
-    ln_gamma_complex,
 )
 
 FIXED_RECEIVER_SNR = "fixed_receiver_snr"
@@ -169,14 +168,15 @@ def cdf(params: ChannelParams, gamma):
 def moment(params: ChannelParams, k: float) -> float:
     """E{gamma^k} = gamma_bar^k (1+rho)^{-k} Gamma(1+k)^2 2F1(-k,-k;1;rho).
 
-    The (1+rho)^{-k} factor is what makes E{gamma} = gamma_bar exact; the
-    quadrature tests adjudicate it against the density.
+    The (1+rho)^{-k} factor cancels the 2F1(-1,-1;1;rho) = 1 + rho of the
+    first moment, so E{gamma} = gamma_bar up to rounding; at k = 0 the
+    result is exactly 1.  The quadrature tests check it against the density.
     """
     if k < 0:
         raise DomainError("moment order must be >= 0")
-    lg1k = ln_gamma_complex(complex(1.0 + k)).real
     f = hyp2f1_symmetric(k, params.rho)
-    log_m = k * math.log(params.gamma_bar) - k * math.log1p(params.rho) + 2.0 * lg1k
+    log_m = k * math.log(params.gamma_bar) - k * math.log1p(params.rho) \
+        + 2.0 * math.lgamma(1.0 + k)
     return math.exp(log_m) * f
 
 

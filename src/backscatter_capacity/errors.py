@@ -5,12 +5,8 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested exactly at a pole."""
-
-
 class ParameterError(ValueError):
-    """Structurally invalid parameter set (e.g. no feasible contour)."""
+    """Structurally invalid parameter set (e.g. a non-positive tolerance)."""
 
 
 class UnsupportedParameterError(ParameterError):

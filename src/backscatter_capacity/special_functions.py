@@ -1,10 +1,10 @@
 """Self-contained special-function kernel.
 
 Everything the capacity formulas need: exponentially scaled modified
-Bessel functions I0/K0, complex log-gamma, finite Gauss hypergeometric
-sums and their parameter derivatives, the scaled exponential integral
-e^x E1(x), and the vertical-contour quadrature of the capacity series'
-Mellin-Barnes integral.
+Bessel functions I0/K0, a right-half-plane log-gamma, Gauss hypergeometric
+sums 2F1(-s, -s; 1; rho), the scaled exponential integral e^x E1(x), and
+the vertical-contour quadrature of the capacity series' Mellin-Barnes
+integral.
 
 Scaled Bessel variants are the primitives: the product-fading integrands
 combine I0(b t) K0(a t) with exp((b-a) t), which only stays representable
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError, PoleError
+from .errors import ConvergenceError, DomainError, ParameterError
 
 EULER_GAMMA = 0.5772156649015328606
 LOG2E = 1.4426950408889634074
@@ -36,12 +36,11 @@ class AccuracyPolicy:
     """Numerical tolerances shared by the quadrature-backed operations."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
     max_quadrature_nodes: int = 200_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ParameterError("tolerances must be strictly positive")
+        if not self.rel_tol > 0:
+            raise ParameterError("rel_tol must be strictly positive")
         if self.rel_tol < 100 * _EPS:
             raise ParameterError("rel_tol below 100*machine-epsilon is not honest")
         if self.max_quadrature_nodes < 64:
@@ -232,7 +231,7 @@ def bessel_k0_scaled(x):
 
 
 # ----------------------------------------------------------------------
-# log-gamma (complex)
+# log-gamma (right half-plane)
 # ----------------------------------------------------------------------
 
 _LANCZOS_G = 7.0
@@ -259,57 +258,8 @@ def _lanczos_right(z: np.ndarray) -> np.ndarray:
     return _LOG_SQRT_2PI + (z - 0.5) * np.log(t) - t + np.log(acc)
 
 
-def _log_cut_down(w: np.ndarray) -> np.ndarray:
-    """Complex log with the branch cut rotated onto the downward imaginary
-    axis, so vertical lines not through the origin never cross it."""
-    ang = np.angle(w)
-    ang = np.where(ang <= -0.5 * math.pi, ang + 2.0 * math.pi, ang)
-    return np.log(np.abs(w)) + 1j * ang
-
-
-def _ln_gamma_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized log-gamma, continuous along any vertical line that avoids
-    the poles.  Poles map to +inf (i.e. 1/Gamma = 0 after exponentiation)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    right = z.real >= 0.5
-    if np.any(right):
-        out[right] = _lanczos_right(z[right])
-    if np.any(~right):
-        zl = z[~right]
-        # shift into the right half-plane; logs carry downward cuts so the
-        # result stays continuous along pole-avoiding vertical contours
-        m = int(np.max(np.ceil(0.5 - zl.real)))
-        shift = np.zeros_like(zl)
-        w = zl.copy()
-        for _ in range(m):
-            need = w.real < 0.5
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shift[need] += _log_cut_down(w[need])
-            w[need] += 1.0
-        out[~right] = _lanczos_right(w) - shift
-    return out
-
-
-def ln_gamma_complex(z):
-    """Log-gamma of a complex argument with exp(result) == Gamma(z).
-
-    Branch chosen so the value is continuous along vertical contours that
-    avoid the poles (cuts run downward from each pole).
-    """
-    z_arr = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z_arr)):
-        raise DomainError("ln_gamma_complex requires finite input")
-    at_pole = (z_arr.imag == 0) & (z_arr.real <= 0) & (z_arr.real == np.floor(z_arr.real))
-    if np.any(at_pole):
-        raise PoleError("ln_gamma_complex evaluated at a pole of Gamma")
-    scalar = z_arr.ndim == 0
-    out = _ln_gamma_array(np.atleast_1d(z_arr))
-    return complex(out[0]) if scalar else out
-
-
 # ----------------------------------------------------------------------
-# finite Gauss hypergeometric sums and derivatives
+# Gauss hypergeometric sums
 # ----------------------------------------------------------------------
 
 def hyp2f1_neg_int(k: int, rho: float) -> float:
@@ -405,28 +355,6 @@ def _hyp2f1_near_one(s: np.ndarray, rho: float):
     return gauss * f1 + tail * f2, max(n1, n2)
 
 
-def hyp2f1_cross_derivative(a: int, b: int, rho: float) -> float:
-    """Mixed derivative d^2/da db of 2F1(-a, -b; 1; rho) at non-negative
-    integer (a, b), as the finite sum over m <= min(a, b)."""
-    for name, v in (("a", a), ("b", b)):
-        if not isinstance(v, (int, np.integer)) or v < 0:
-            raise DomainError(f"hyp2f1_cross_derivative requires integer {name} >= 0")
-    if not (0.0 <= rho < 1.0):
-        raise DomainError("hyp2f1_cross_derivative requires rho in [0, 1)")
-
-    def factor(n: int, m: int) -> float:
-        # Gamma(n+1)(psi(n+1)-psi(n-m+1))/Gamma(n-m+1)
-        #   = P(n, m) * (H_n - H_{n-m})
-        perm = math.perm(n, m)
-        harm = sum(1.0 / j for j in range(n - m + 1, n + 1))
-        return perm * harm
-
-    total = 0.0
-    for m in range(min(a, b), -1, -1):
-        total += factor(a, m) * factor(b, m) * rho ** m / math.factorial(m) ** 2
-    return total
-
-
 # ----------------------------------------------------------------------
 # exponential integral E1, scaled
 # ----------------------------------------------------------------------
@@ -486,6 +414,8 @@ _MB_CONTOUR_MARGIN = 4.0
 # last trapezoid level of the contour's first factor call: every capacity
 # point of the benchmark grid stops at level 2 (64 + 64 + 128 nodes)
 _MB_DEPTH = 2
+# absolute floor of the contour's convergence and tail tests
+_MB_ABS_TOL = 1e-14
 
 
 def _mb_kernel(s: np.ndarray, z: float) -> np.ndarray:
@@ -543,7 +473,7 @@ def mellin_barnes_integral(c: float, z: float, factor,
             new_value = 0.5 * value + (h / math.pi) * odd_sum
             err = abs(new_value - value)
             value = new_value
-            if err <= max(policy.rel_tol * abs(value), policy.abs_tol):
+            if err <= max(policy.rel_tol * abs(value), _MB_ABS_TOL):
                 converged = True
                 break
         if not converged:
@@ -552,7 +482,7 @@ def mellin_barnes_integral(c: float, z: float, factor,
                 {"nodes": n_nodes, "T": T, "last_delta": err, "z": z})
         # empirical tail check against the exp(-rate t) bound
         tail = abs(float(vals[-1][0])) / (_MB_DECAY_RATE * math.pi)
-        if tail <= max(policy.rel_tol * abs(value), policy.abs_tol):
+        if tail <= max(policy.rel_tol * abs(value), _MB_ABS_TOL):
             return value, err + tail, n_nodes
         T *= 1.5
     raise ConvergenceError("Mellin-Barnes tail did not close",

@@ -243,6 +243,11 @@ class TestMoments:
         assert moment(p, 0.0) == pytest.approx(1.0, rel=1e-12)
         assert moment(p, 1.0) == pytest.approx(7.0, rel=1e-12)
 
+    @pytest.mark.parametrize("gbar", [0.01, 1.0, 7.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 1.0])
+    def test_order_zero_is_exactly_one(self, gbar, rho):
+        assert moment(ChannelParams(gbar, rho), 0.0) == 1.0
+
     def test_second_moment_closed_form(self):
         for gbar in (0.5, 1.0, 20.0):
             for rho in (0.0, 0.3, 0.9):
