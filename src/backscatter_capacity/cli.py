@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,14 +49,6 @@ from .special_functions import DEFAULT_POLICY, LOG2E, AccuracyPolicy
 
 CSV_HEADER = "mode,rho,snr_db,gamma_bar_linear,method,capacity_bpshz,error_bound,diagnostics"
 PDF_CSV_HEADER = "rho,snr_db,gamma_bar_linear,gamma,density"
-
-FIG_FIXED_RECEIVER = "fig_fixed_receiver"
-FIG_FIXED_BUDGET = "fig_fixed_budget"
-FIG_AWGN_NORMALISED = "fig_awgn_normalised"
-FIGURE_IDS = (FIG_FIXED_RECEIVER, FIG_FIXED_BUDGET, FIG_AWGN_NORMALISED)
-# --figure {1|2|3} in grid order
-FIGURE_FLAG_MAP = {"1": FIG_FIXED_RECEIVER, "2": FIG_FIXED_BUDGET,
-                   "3": FIG_AWGN_NORMALISED}
 
 DEFAULT_FIGURE_MC = McConfig(n_samples=1_000_000, seed=12345, n_batches=100)
 
@@ -103,20 +95,6 @@ def _diag_str(diag: dict) -> str:
     return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(diag.items()))
 
 
-def _estimate_to_row(mode: str, rho: float, snr_db: float, gamma_bar: float,
-                     method: str, est) -> dict:
-    return {
-        "mode": mode,
-        "rho": rho,
-        "snr_db": snr_db,
-        "gamma_bar_linear": gamma_bar,
-        "method": method,
-        "capacity_bpshz": est.value,
-        "error_bound": est.error_bound,
-        "diagnostics": _diag_str(est.diagnostics),
-    }
-
-
 def _mc_estimate(res, mc: McConfig) -> CapacityEstimate:
     return CapacityEstimate(res.estimate, METHOD_MC, res.std_error,
                             {"seed": mc.seed, "n_samples": mc.n_samples,
@@ -138,28 +116,38 @@ _EVALUATORS = {
 SWEEP_METHODS = tuple(_EVALUATORS)
 
 
-def _evaluate_point(mode: str, rho: float, snr_db: float, method: str,
-                    policy: AccuracyPolicy, mc: McConfig | None) -> dict:
-    param = Parameterization(mode, db_to_linear(snr_db), rho)
-    est = _EVALUATORS[method](param, policy, mc)
-    gamma_bar = param.snr_value if method in ("awgn", "rayleigh") else param.gamma_bar
-    return _estimate_to_row(mode, rho, snr_db, gamma_bar, method, est)
+def _points(mode: str, rhos, snr_grid, methods) -> list[tuple]:
+    """The (mode, rho, snr_db, method) product that every command evaluates."""
+    return [(mode, rho, snr, m) for rho in rhos for snr in snr_grid for m in methods]
 
 
-def _evaluate_points(points: list[tuple], policy: AccuracyPolicy,
-                     mc: McConfig | None, threads: int) -> list[dict]:
-    """Evaluate (mode, rho, snr_db, method) tuples, optionally in parallel;
-    every point is pure so the thread count cannot change any value."""
+def _evaluate_points(points: list[tuple], evaluate, threads: int = 1) -> list[dict]:
+    """One row per (mode, rho, snr_db, method) point, sorted by (rho, snr_db,
+    method); evaluate(param, method) returns its CapacityEstimate.  Points
+    run on a pool when threads > 1; every point is pure, so the thread
+    count cannot change any value."""
 
-    def work(pt):
-        mode, rho, snr, m = pt
-        return _evaluate_point(mode, rho, snr, m, policy, mc)
+    def row(pt):
+        mode, rho, snr_db, method = pt
+        param = Parameterization(mode, db_to_linear(snr_db), rho)
+        est = evaluate(param, method)
+        return {
+            "mode": mode,
+            "rho": rho,
+            "snr_db": snr_db,
+            "gamma_bar_linear": param.snr_value if method in ("awgn", "rayleigh")
+            else param.gamma_bar,
+            "method": method,
+            "capacity_bpshz": est.value,
+            "error_bound": est.error_bound,
+            "diagnostics": _diag_str(est.diagnostics),
+        }
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, points))
+            rows = list(pool.map(row, points))
     else:
-        rows = [work(pt) for pt in points]
+        rows = [row(pt) for pt in points]
     rows.sort(key=lambda r: (r["rho"], r["snr_db"], r["method"]))
     return rows
 
@@ -167,11 +155,9 @@ def _evaluate_points(points: list[tuple], policy: AccuracyPolicy,
 def run_sweep(spec: SweepSpec, policy: AccuracyPolicy = DEFAULT_POLICY,
               threads: int = 1) -> list[dict]:
     """One row per (rho, snr, method), sorted by (rho, snr_db, method)."""
-    points = [(spec.mode, rho, snr, m)
-              for rho in spec.rho_list
-              for snr in spec.snr_db_grid
-              for m in spec.methods]
-    return _evaluate_points(points, policy, spec.mc, threads)
+    points = _points(spec.mode, spec.rho_list, spec.snr_db_grid, spec.methods)
+    return _evaluate_points(
+        points, lambda p, m: _EVALUATORS[m](p, policy, spec.mc), threads)
 
 
 # ----------------------------------------------------------------------
@@ -179,64 +165,46 @@ def run_sweep(spec: SweepSpec, policy: AccuracyPolicy = DEFAULT_POLICY,
 # ----------------------------------------------------------------------
 
 def _grid(start: float, stop: float, step: float) -> tuple:
+    """start, start + step, ... up to stop, inclusive when on the grid."""
     return tuple(float(x) for x in np.arange(start, stop + 0.5 * step, step))
+
+
+def _budget_figure(snr_range: tuple, reference: str) -> tuple:
+    return (FIXED_POWER_BUDGET, snr_range,
+            (((0.0, 0.5), 2, ("quadrature",)), ((0.0, 0.5), 5, ("mc",)),
+             ((1.0,), 2, ("mc",)), ((0.0,), 2, (reference,))))
+
+
+# figure id -> (mode, SNR range in dB, blocks of (rho set, SNR step in dB,
+# methods)).  Monte Carlo markers sit every 5 dB, and Monte Carlo alone
+# carries the rho = 1 curves of figures 2 and 3.  Correlation-independent
+# reference/asymptote curves are emitted once, tagged rho = 0.
+_FIGURES = {
+    "fig_fixed_receiver": (FIXED_RECEIVER_SNR, (-10, 40), (
+        ((0.0, 0.3, 0.6, 0.9), 2, ("quadrature", "asymptotic_high")),
+        ((0.0, 0.3, 0.6, 0.9), 5, ("mc",)),
+        ((0.0,), 2, ("awgn", "rayleigh")))),
+    "fig_fixed_budget": _budget_figure((-10, 40), "asymptotic_high"),
+    "fig_awgn_normalised": _budget_figure((-30, 10), "awgn"),
+}
+FIGURE_IDS = tuple(_FIGURES)
+# --figure {1|2|3} in grid order
+FIGURE_FLAG_MAP = dict(zip("123", FIGURE_IDS))
 
 
 def figure_dataset(fig: str, policy: AccuracyPolicy = DEFAULT_POLICY,
                    mc_config: McConfig = DEFAULT_FIGURE_MC,
                    threads: int = 1) -> list[dict]:
-    """Rows reproducing one figure's curves.
-
-    Analytic curves cover the fine grid; Monte Carlo markers sit every
-    5 dB, and Monte Carlo alone carries the rho = 1 curves of figures 2
-    and 3 over the whole grid.
-    Correlation-independent reference/asymptote curves are emitted once,
-    tagged rho = 0.
-    """
-    if fig not in FIGURE_IDS:
+    """Rows reproducing one figure's curves, as its _FIGURES entry lays
+    them out; figure 3 adds its two ratios to AWGN."""
+    if fig not in _FIGURES:
         raise ConfigError(f"figure id must be one of {FIGURE_IDS}")
-    points: list[tuple] = []
-
-    def add(mode, rho, snr_db, method):
-        points.append((mode, rho, snr_db, method))
-
-    if fig == FIG_FIXED_RECEIVER:
-        grid = _grid(-10, 40, 2)
-        markers = _grid(-10, 40, 5)
-        for rho in (0.0, 0.3, 0.6, 0.9):
-            for snr in grid:
-                add(FIXED_RECEIVER_SNR, rho, snr, "quadrature")
-                add(FIXED_RECEIVER_SNR, rho, snr, "asymptotic_high")
-            for snr in markers:
-                add(FIXED_RECEIVER_SNR, rho, snr, "mc")
-        for snr in grid:
-            add(FIXED_RECEIVER_SNR, 0.0, snr, "awgn")
-            add(FIXED_RECEIVER_SNR, 0.0, snr, "rayleigh")
-    elif fig == FIG_FIXED_BUDGET:
-        grid = _grid(-10, 40, 2)
-        markers = _grid(-10, 40, 5)
-        for rho in (0.0, 0.5):
-            for snr in grid:
-                add(FIXED_POWER_BUDGET, rho, snr, "quadrature")
-            for snr in markers:
-                add(FIXED_POWER_BUDGET, rho, snr, "mc")
-        for snr in grid:
-            add(FIXED_POWER_BUDGET, 1.0, snr, "mc")
-            add(FIXED_POWER_BUDGET, 0.0, snr, "asymptotic_high")
-    else:
-        grid = _grid(-30, 10, 2)
-        markers = _grid(-30, 10, 5)
-        for rho in (0.0, 0.5):
-            for snr in grid:
-                add(FIXED_POWER_BUDGET, rho, snr, "quadrature")
-            for snr in markers:
-                add(FIXED_POWER_BUDGET, rho, snr, "mc")
-        for snr in grid:
-            add(FIXED_POWER_BUDGET, 1.0, snr, "mc")
-            add(FIXED_POWER_BUDGET, 0.0, snr, "awgn")
-
-    rows = _evaluate_points(points, policy, mc_config, threads)
-    if fig == FIG_AWGN_NORMALISED:
+    mode, (lo, hi), blocks = _FIGURES[fig]
+    points = [pt for rhos, step, methods in blocks
+              for pt in _points(mode, rhos, _grid(lo, hi, step), methods)]
+    rows = _evaluate_points(
+        points, lambda p, m: _EVALUATORS[m](p, policy, mc_config), threads)
+    if fig == "fig_awgn_normalised":
         for row in rows:
             snr_I = db_to_linear(row["snr_db"])
             awgn = LOG2E * math.log1p(snr_I)
@@ -309,16 +277,15 @@ def parse_value_list(text: str) -> tuple:
         start, stop, step = (float(p) for p in parts)
         if step <= 0 or stop < start:
             raise ConfigError("need stop >= start and step > 0")
-        return tuple(float(x) for x in np.arange(start, stop + 0.5 * step, step))
+        return _grid(start, stop, step)
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse number list {text!r}") from exc
 
 
-_SWEEP_CONFIG_KEYS = {"mode", "snr_db_grid", "rho_list", "methods", "mc",
-                      "output_path", "output_format"}
-_MC_CONFIG_KEYS = {"n_samples", "seed", "n_batches"}
+_SWEEP_CONFIG_KEYS = {f.name for f in fields(SweepSpec)}
+_MC_CONFIG_KEYS = {f.name for f in fields(McConfig)}
 
 
 def _load_config(path: str) -> dict:
@@ -467,20 +434,17 @@ def cmd_figure(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    mc = _mc_from_args(args)
-    rows = []
-    for rho in parse_value_list(args.rho):
-        for snr_db in parse_value_list(args.snr_db):
-            param = Parameterization(args.mode, db_to_linear(snr_db), rho)
-            if args.moment is not None:
-                res = estimate_moment(param, args.moment, mc)
-                method = f"mc_moment_{args.moment}"
-            else:
-                res = estimate_capacity(param, mc)
-                method = "mc"
-            rows.append(_estimate_to_row(args.mode, rho, snr_db, param.gamma_bar,
-                                         method, _mc_estimate(res, mc)))
-    rows.sort(key=lambda r: (r["rho"], r["snr_db"], r["method"]))
+    mc, k = _mc_from_args(args), args.moment
+
+    def evaluate(param, method):
+        res = estimate_capacity(param, mc) if k is None \
+            else estimate_moment(param, k, mc)
+        return _mc_estimate(res, mc)
+
+    method = "mc" if k is None else f"mc_moment_{k}"
+    rows = _evaluate_points(_points(args.mode, parse_value_list(args.rho),
+                                    parse_value_list(args.snr_db), (method,)),
+                            evaluate)
     preamble = {"tool": f"bscap mc v{__version__}", "mode": args.mode,
                 "seed": mc.seed, "n_samples": mc.n_samples,
                 "n_batches": mc.n_batches}

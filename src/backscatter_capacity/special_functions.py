@@ -421,8 +421,9 @@ _MB_ABS_TOL = 1e-14
 def _mb_kernel(s: np.ndarray, z: float) -> np.ndarray:
     """Gamma(s)^2 Gamma(1+s) Gamma(1-s) z^{-s}, the Mellin-Barnes kernel of
     G^{3,1}_{1,3}[z | 0; 0,0,1], as pi Gamma(1+s)^2 z^{-s} / (s sin(pi s))
-    by reflection and recurrence (DLMF 5.5.3, 5.5.1).  Re(1+s) > 1 on every
-    contour 0 < Re s < 1, so one right-half-plane log-gamma serves."""
+    by reflection and recurrence (DLMF 5.5.3, 5.5.1).  The one log-gamma,
+    _lanczos_right(1+s), needs Re(1+s) >= 1/2, so the form is valid for
+    Re s >= -1/2 off the integers, where the kernel has its poles."""
     return math.pi * np.exp(2.0 * _lanczos_right(1.0 + s) - s * math.log(z)) \
         / (s * np.sin(math.pi * s))
 
@@ -431,7 +432,9 @@ def mellin_barnes_integral(c: float, z: float, factor,
                            policy: AccuracyPolicy = DEFAULT_POLICY):
     """(value, error_estimate, n_nodes) of
     1/(2 pi i) * Int _mb_kernel(s, z) factor(s) ds along Re s = c, with
-    0 < c < 1 and z > 0, exploiting the conjugate symmetry of the kernel.
+    z > 0, exploiting the conjugate symmetry of the kernel.  Any c at which
+    both the kernel and the factor are valid will do: for the kernel that
+    is c >= -1/2, c not an integer.
 
     factor maps an array of contour points s to complex values with
     factor(conj(s)) = conj(factor(s)) that stay bounded along the contour,

@@ -218,10 +218,11 @@ class TestCliEndToEnd:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"mode": "fixed_receiver_snr",
-                                        "snr_grid": [0]}))
-        assert main(["sweep", "--config", str(cfg_path)]) == 1
-        assert "unknown config keys" in capsys.readouterr().err
+        for cfg, message in (({"snr_grid": [0]}, "unknown config keys"),
+                             ({"mc": {"samples": 10}}, "unknown mc config keys")):
+            cfg_path.write_text(json.dumps({"mode": "fixed_receiver_snr", **cfg}))
+            assert main(["sweep", "--config", str(cfg_path)]) == 1
+            assert message in capsys.readouterr().err
 
     def test_pdf_subcommand(self, tmp_path):
         out = tmp_path / "pdf.csv"
@@ -254,6 +255,26 @@ class TestCliEndToEnd:
         row = [ln for ln in capsys.readouterr().out.splitlines()
                if "mc_moment_1" in ln][0]
         assert float(row.split(",")[5]) == pytest.approx(1.0, abs=0.05)
+
+    def test_mc_body_equals_sweep_mc_body(self, capsys):
+        # bscap mc and bscap sweep --method mc share one row path
+        points = ["--mode", "fixed_receiver_snr", "--snr-db", "0,10", "--rho", "0,1",
+                  "--samples", "20000", "--seed", "6"]
+        bodies = []
+        for argv in (["mc", *points], ["sweep", *points, "--method", "mc"]):
+            assert main(argv) == 0
+            bodies.append([ln for ln in capsys.readouterr().out.splitlines()
+                           if not ln.startswith("#")])
+        assert len(bodies[0]) == 1 + 4
+        assert bodies[0] == bodies[1]
+
+    def test_mc_moment_row_diagnostics(self, capsys):
+        assert main(["mc", "--snr-db", "0", "--rho", "0.5", "--samples", "20000",
+                     "--seed", "6", "--moment", "2"]) == 0
+        body = [ln.split(",") for ln in capsys.readouterr().out.splitlines()
+                if not ln.startswith("#")][1:]
+        assert [r[4] for r in body] == ["mc_moment_2"]
+        assert body[0][7] == "n_batches=100;n_samples=20000;seed=6"
 
 
 SMALL_MC = McConfig(n_samples=200_000, seed=12345, n_batches=100)
@@ -315,6 +336,11 @@ class TestFigureDatasets:
         header = [ln for ln in text.splitlines() if ln.startswith("mode,")][0]
         assert header.startswith(CSV_HEADER)
         assert header.endswith("capacity_over_awgn,low_snr_limit_over_awgn")
+
+    @pytest.mark.parametrize("fig", cli.FIGURE_IDS)
+    def test_threads_do_not_change_rows(self, fig):
+        assert figure_dataset(fig, mc_config=SMALL_MC, threads=2) == \
+            figure_dataset(fig, mc_config=SMALL_MC, threads=1)
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ConfigError):
