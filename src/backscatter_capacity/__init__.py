@@ -31,7 +31,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     ParameterError,
-    UnsupportedParameterError,
 )
 from .monte_carlo import (
     KsResult,
@@ -52,10 +51,3 @@ from .special_functions import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # validation is imported on first use, as `bscap validate` does
-    if name == "asymptote_crossover_check":
-        from .validation import asymptote_crossover_check
-        return asymptote_crossover_check
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

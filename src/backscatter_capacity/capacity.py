@@ -11,8 +11,8 @@
 
 AWGN and single-Rayleigh references used by the sweep datasets live here
 too.  Every route covers rho in [0, 1], full correlation included.  All
-functions are pure; estimates carry their method tag and an error bound
-(NaN marks asymptotes, which have no computable remainder).
+functions are pure; estimates carry an error bound (NaN marks asymptotes,
+which have no computable remainder).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .channel_model import (
     _pdf_t,
     moment_log_derivative,
 )
-from .errors import ConvergenceError, UnsupportedParameterError
+from .errors import ConvergenceError, DomainError
 from .quadrature import exponential_tail_cutoff, tanh_sinh
 from .special_functions import (
     AccuracyPolicy,
@@ -41,14 +41,6 @@ from .special_functions import (
     mellin_barnes_integral,
 )
 
-METHOD_QUADRATURE = "quadrature"
-METHOD_SERIES = "series"
-METHOD_ASYMPTOTIC_HIGH = "asymptotic_high"
-METHOD_ASYMPTOTIC_LOW = "asymptotic_low"
-METHOD_AWGN = "awgn_reference"
-METHOD_RAYLEIGH = "rayleigh_reference"
-METHOD_MC = "monte_carlo"
-
 # capacity_series sums the 2F1 factor in powers of rho up to here and in
 # powers of 1 - rho above: the measured crossover of the two term counts
 _SERIES_SWITCH_RHO = 0.6
@@ -57,7 +49,6 @@ _SERIES_SWITCH_RHO = 0.6
 @dataclass(frozen=True)
 class CapacityEstimate:
     value: float                     # bps/Hz
-    method: str
     error_bound: float               # bps/Hz; NaN for asymptotes
     diagnostics: dict = field(default_factory=dict)
 
@@ -79,7 +70,6 @@ def capacity_quadrature(params: ChannelParams,
              "nodes": res.n_nodes, "error_estimate": res.error_estimate})
     return CapacityEstimate(
         value=res.value,
-        method=METHOD_QUADRATURE,
         error_bound=res.error_estimate,
         diagnostics={"nodes": res.n_nodes, "levels": res.levels, "t_max": t_max},
     )
@@ -114,8 +104,7 @@ def capacity_series(params: ChannelParams,
         raise ConvergenceError(
             "series did not converge",
             {"gamma_bar": params.gamma_bar, "rho": rho, **exc.diagnostics}) from exc
-    return CapacityEstimate(value, METHOD_SERIES, err,
-                            {"terms_used": max(terms), "nodes": nodes})
+    return CapacityEstimate(value, err, {"terms_used": max(terms), "nodes": nodes})
 
 
 def capacity_high_snr(params: ChannelParams) -> CapacityEstimate:
@@ -125,8 +114,7 @@ def capacity_high_snr(params: ChannelParams) -> CapacityEstimate:
     applicability).  No remainder term exists, so the error bound is NaN.
     """
     value = math.log2(params.gamma_bar) + LOG2E * moment_log_derivative(params.rho)
-    return CapacityEstimate(value, METHOD_ASYMPTOTIC_HIGH, math.nan,
-                            {"kind": "asymptotic"})
+    return CapacityEstimate(value, math.nan, {"kind": "asymptotic"})
 
 
 def capacity_high_snr_budget(snr_I_linear: float) -> CapacityEstimate:
@@ -136,10 +124,9 @@ def capacity_high_snr_budget(snr_I_linear: float) -> CapacityEstimate:
     (1+rho) mean-SNR gain of a fixed transmit power.
     """
     if not (snr_I_linear > 0):
-        raise UnsupportedParameterError("snr_I must be positive")
+        raise DomainError("snr_I must be positive")
     value = math.log2(snr_I_linear) - 2.0 * LOG2E * EULER_GAMMA
-    return CapacityEstimate(value, METHOD_ASYMPTOTIC_HIGH, math.nan,
-                            {"kind": "asymptotic"})
+    return CapacityEstimate(value, math.nan, {"kind": "asymptotic"})
 
 
 def capacity_low_snr(param: Parameterization) -> CapacityEstimate:
@@ -149,16 +136,14 @@ def capacity_low_snr(param: Parameterization) -> CapacityEstimate:
     helps linearly here.
     """
     value = LOG2E * param.gamma_bar
-    return CapacityEstimate(value, METHOD_ASYMPTOTIC_LOW, math.nan,
-                            {"kind": "asymptotic"})
+    return CapacityEstimate(value, math.nan, {"kind": "asymptotic"})
 
 
 def capacity_awgn(snr_linear: float) -> CapacityEstimate:
     """Unfaded reference log2(1 + snr)."""
     if not (snr_linear > 0):
-        raise UnsupportedParameterError("snr must be positive")
-    return CapacityEstimate(LOG2E * math.log1p(snr_linear), METHOD_AWGN, 0.0,
-                            {"kind": "reference"})
+        raise DomainError("snr must be positive")
+    return CapacityEstimate(LOG2E * math.log1p(snr_linear), 0.0, {"kind": "reference"})
 
 
 def capacity_rayleigh(snr_linear: float) -> CapacityEstimate:
@@ -166,7 +151,7 @@ def capacity_rayleigh(snr_linear: float) -> CapacityEstimate:
     every SNR so the reference curve is trustworthy outside the asymptotic
     regime too."""
     if not (snr_linear > 0):
-        raise UnsupportedParameterError("snr must be positive")
+        raise DomainError("snr must be positive")
     value = LOG2E * exp_integral_e1_scaled(1.0 / snr_linear)
-    return CapacityEstimate(value, METHOD_RAYLEIGH, 0.0, {"kind": "reference"})
+    return CapacityEstimate(value, 0.0, {"kind": "reference"})
 

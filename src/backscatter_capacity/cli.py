@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .capacity import (
-    METHOD_MC,
     CapacityEstimate,
     capacity_awgn,
     capacity_high_snr,
@@ -37,13 +36,7 @@ from .channel_model import (
     db_to_linear,
     pdf,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    ParameterError,
-    UnsupportedParameterError,
-)
+from .errors import ConfigError, ConvergenceError, DomainError, ParameterError
 from .monte_carlo import McConfig, estimate_capacity, estimate_moment
 from .special_functions import DEFAULT_POLICY, LOG2E, AccuracyPolicy
 
@@ -96,7 +89,7 @@ def _diag_str(diag: dict) -> str:
 
 
 def _mc_estimate(res, mc: McConfig) -> CapacityEstimate:
-    return CapacityEstimate(res.estimate, METHOD_MC, res.std_error,
+    return CapacityEstimate(res.estimate, res.std_error,
                             {"seed": mc.seed, "n_samples": mc.n_samples,
                              "n_batches": mc.n_batches})
 
@@ -270,22 +263,39 @@ class _Parser(argparse.ArgumentParser):
 def parse_value_list(text: str) -> tuple:
     """Comma list or start:stop:step (stop inclusive when on-grid)."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"expected start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigError("need stop >= start and step > 0")
-        return _grid(start, stop, step)
+    sep = ":" if ":" in text else ","
     try:
-        return tuple(float(p) for p in text.split(","))
+        values = tuple(float(p) for p in text.split(sep))
     except ValueError as exc:
         raise ConfigError(f"cannot parse number list {text!r}") from exc
+    if sep == ",":
+        return values
+    if len(values) != 3:
+        raise ConfigError(f"expected start:stop:step, got {text!r}")
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise ConfigError("need stop >= start and step > 0")
+    return _grid(start, stop, step)
 
 
 _SWEEP_CONFIG_KEYS = {f.name for f in fields(SweepSpec)}
 _MC_CONFIG_KEYS = {f.name for f in fields(McConfig)}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_NUMBER_LIST = (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                "a list of numbers")
+# config keys whose JSON type SweepSpec does not check -> (test, what they hold)
+_CONFIG_VALUE_TESTS = {
+    "snr_db_grid": _NUMBER_LIST,
+    "rho_list": _NUMBER_LIST,
+    "methods": (lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
+                "a list of strings"),
+    "output_path": (lambda v: v is None or isinstance(v, str), "a string"),
+}
 
 
 def _load_config(path: str) -> dict:
@@ -296,12 +306,18 @@ def _load_config(path: str) -> dict:
     unknown = set(data) - _SWEEP_CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, (test, kind) in _CONFIG_VALUE_TESTS.items():
+        if key in data and not test(data[key]):
+            raise ConfigError(f"config key {key!r} must be {kind}")
     if "mc" in data and data["mc"] is not None:
         if not isinstance(data["mc"], dict):
             raise ConfigError("'mc' must be an object")
         bad = set(data["mc"]) - _MC_CONFIG_KEYS
         if bad:
             raise ConfigError(f"unknown mc config keys: {sorted(bad)}")
+        for key, value in data["mc"].items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"mc config key {key!r} must be an integer")
     return data
 
 
@@ -493,8 +509,8 @@ def main(argv=None) -> int:
                 "pdf": cmd_pdf, "validate": cmd_validate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, DomainError, ParameterError, UnsupportedParameterError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, ParameterError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"bscap: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

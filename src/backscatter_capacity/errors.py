@@ -1,16 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The ValueError subclasses mark bad input (the CLI exits 1 on them);
+ConvergenceError marks a numerical failure (the CLI exits 2).
+"""
 
 
 class DomainError(ValueError):
-    """Argument outside the mathematical domain of an operation."""
+    """Argument outside the mathematical domain of an operation (e.g. a
+    non-positive SNR or a correlation outside [0, 1])."""
 
 
 class ParameterError(ValueError):
-    """Structurally invalid parameter set (e.g. a non-positive tolerance)."""
-
-
-class UnsupportedParameterError(ParameterError):
-    """Parameters are representable but this evaluation path cannot serve them."""
+    """Invalid accuracy setting (e.g. a non-positive tolerance)."""
 
 
 class ConvergenceError(RuntimeError):

@@ -39,6 +39,8 @@ class McConfig:
     n_batches: int = 100
 
     def __post_init__(self):
+        if self.n_batches < 2:
+            raise ConfigError("batch-means errors need at least 2 batches")
         if self.n_samples < self.n_batches:
             raise ConfigError("need at least one sample per batch")
         if self.n_samples // self.n_batches < 100:

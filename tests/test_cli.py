@@ -34,6 +34,8 @@ class TestParsing:
             parse_value_list("a,b")
         with pytest.raises(ConfigError):
             parse_value_list("5:1:1")
+        with pytest.raises(ConfigError):
+            parse_value_list("a:b:c")
 
 
 class TestSweepSpec:
@@ -224,6 +226,18 @@ class TestCliEndToEnd:
             assert main(["sweep", "--config", str(cfg_path)]) == 1
             assert message in capsys.readouterr().err
 
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        base = {"mode": "fixed_receiver_snr", "snr_db_grid": [0], "rho_list": [0],
+                "methods": ["mc"]}
+        for cfg, key in (({"mc": {"n_samples": "10"}}, "'n_samples'"),
+                         ({"snr_db_grid": ["x"]}, "'snr_db_grid'"),
+                         ({"rho_list": 0.5}, "'rho_list'")):
+            cfg_path.write_text(json.dumps({**base, **cfg}))
+            assert main(["sweep", "--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("bscap:") and key in err
+
     def test_pdf_subcommand(self, tmp_path):
         out = tmp_path / "pdf.csv"
         assert main(["pdf", "--snr-db", "0", "--rho", "0", "--gamma", "1",
@@ -248,6 +262,12 @@ class TestCliEndToEnd:
         body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         est = float(body[1].split(",")[5])
         assert est == pytest.approx(8.3386, abs=0.1)
+
+    @pytest.mark.parametrize("batches", ["0", "1"])
+    def test_mc_too_few_batches_exit_1(self, capsys, batches):
+        assert main(["mc", "--snr-db", "0", "--rho", "0", "--samples", "1000",
+                     "--batches", batches]) == 1
+        assert capsys.readouterr().err.startswith("bscap:")
 
     def test_mc_moment_subcommand(self, capsys):
         assert main(["mc", "--snr-db", "0", "--rho", "0.5", "--samples", "20000",

@@ -49,6 +49,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             McConfig(seed=-1)
 
+    @pytest.mark.parametrize("n_batches", [0, 1, -1])
+    def test_batch_means_need_two_batches(self, n_batches):
+        with pytest.raises(ConfigError):
+            McConfig(n_samples=1000, n_batches=n_batches)
+
     def test_batch_sizes_cover_everything(self):
         cfg = McConfig(n_samples=100_050, seed=1, n_batches=100)
         sizes = cfg.batch_sizes()

@@ -38,11 +38,10 @@ def test_decaying_exponential_long_interval():
     assert res.value == pytest.approx(1.0, rel=1e-11)
 
 
-def test_orientation_and_degenerate_interval():
-    fwd = tanh_sinh(lambda x: x, 0.0, 2.0)
-    rev = tanh_sinh(lambda x: x, 2.0, 0.0)
-    assert rev.value == pytest.approx(-fwd.value, rel=1e-14, abs=0)
-    assert tanh_sinh(lambda x: x, 1.0, 1.0).value == 0.0
+@pytest.mark.parametrize("a, b", [(2.0, 0.0), (1.0, 1.0), (0.0, math.inf)])
+def test_interval_must_be_finite_and_ordered(a, b):
+    with pytest.raises(ValueError):
+        tanh_sinh(lambda x: x, a, b)
 
 
 def test_error_estimate_is_honest():
@@ -67,7 +66,7 @@ def test_exponential_tail_cutoff():
     t = exponential_tail_cutoff(2.0, 0.0)
     assert t == pytest.approx(23.0)
     # guarantees at least the requested drop relative to the peak
-    t = exponential_tail_cutoff(2.0, 3.0, log_drop=46.0)
+    t = exponential_tail_cutoff(2.0, 3.0)
     t_star = 1.5
     drop = 2.0 * t - 3.0 * math.log(t / t_star) - 2.0 * t_star
     assert drop == pytest.approx(46.0, abs=0.01)
@@ -82,15 +81,8 @@ def test_exponential_tail_cutoff():
 _HALF_PI = math.pi / 2.0
 
 
-def _reference_tanh_sinh(f, a, b, rel_tol=1e-10, abs_tol=1e-14, max_nodes=200_000):
+def _reference_tanh_sinh(f, a, b, rel_tol=1e-10, max_nodes=200_000):
     """Level by level: one transform and one call of f per (level, sign)."""
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0, 0, True)
-    if a > b:
-        res = _reference_tanh_sinh(f, b, a, rel_tol, abs_tol, max_nodes)
-        return QuadratureResult(-res.value, res.error_estimate,
-                                res.n_nodes, res.levels, res.converged)
-
     def transform(u):
         half = 0.5 * (b - a)
         t = _HALF_PI * np.sinh(u)
@@ -130,7 +122,7 @@ def _reference_tanh_sinh(f, a, b, rel_tol=1e-10, abs_tol=1e-14, max_nodes=200_00
         new_value = 0.5 * value + h * odd
         err = abs(new_value - value)
         value = new_value
-        if level >= 2 and err <= max(rel_tol * abs(value), abs_tol):
+        if level >= 2 and err <= max(rel_tol * abs(value), 1e-14):
             return QuadratureResult(value, err, n_nodes, level, True)
     return QuadratureResult(value, err, n_nodes, level, False)
 
@@ -141,14 +133,11 @@ def _reference_tanh_sinh(f, a, b, rel_tol=1e-10, abs_tol=1e-14, max_nodes=200_00
     (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, {}),
     (lambda x: np.exp(-x), 0.0, 60.0, {}),
     (lambda x: x, 0.0, 2.0, {}),
-    (lambda x: x, 2.0, 0.0, {}),
-    (lambda x: x, 1.0, 1.0, {}),
     (np.sin, 0.0, math.pi, {}),
     (lambda x: np.exp(-x * x), -3.0, 3.0, {"max_nodes": 40}),
-    (lambda x: np.exp(-x * x), 3.0, -3.0, {"max_nodes": 40}),
-    (lambda x: np.exp(-x), 0.0, 60.0, {"rel_tol": 1e-4, "abs_tol": 1e-4}),
-], ids=["square", "log", "inv_sqrt", "exp", "linear", "reversed", "empty",
-        "sin", "max_nodes_40", "max_nodes_40_reversed", "loose_tol"])
+    (lambda x: np.exp(-x), 0.0, 60.0, {"rel_tol": 1e-4}),
+], ids=["square", "log", "inv_sqrt", "exp", "linear", "sin", "max_nodes_40",
+        "loose_tol"])
 def test_ladder_bit_identical_to_level_by_level(f, a, b, kwargs):
     assert repr(tanh_sinh(f, a, b, **kwargs)) == \
         repr(_reference_tanh_sinh(f, a, b, **kwargs))
