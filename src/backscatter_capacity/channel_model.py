@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .quadrature import exponential_tail_cutoff, gauss_legendre_rule
+from .errors import ConvergenceError, DomainError
+from .quadrature import exponential_tail_cutoff, gauss_legendre_rule, tanh_sinh
 from .special_functions import (
     EULER_GAMMA,
     bessel_i0_scaled,
     bessel_k0_scaled,
-    hyp2f1_symmetric,
+    hyp2f1_neg_int,
 )
 
 FIXED_RECEIVER_SNR = "fixed_receiver_snr"
@@ -116,7 +116,7 @@ def pdf(params: ChannelParams, gamma):
     """Density of the instantaneous SNR, _pdf_t(sqrt(gamma)) / (2 sqrt(gamma))."""
     g = np.asarray(gamma, dtype=float)
     if np.any(g <= 0) or not np.all(np.isfinite(g)):
-        raise DomainError("pdf requires gamma > 0")
+        raise DomainError("pdf requires finite gamma > 0")
     t = np.sqrt(np.atleast_1d(g))
     vals = _pdf_t(params, t) / (2.0 * t)
     return float(vals[0]) if g.ndim == 0 else vals
@@ -151,7 +151,7 @@ def cdf(params: ChannelParams, gamma):
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0) or not np.all(np.isfinite(g)):
-        raise DomainError("cdf requires gamma >= 0")
+        raise DomainError("cdf requires finite gamma >= 0")
     t_cap = exponential_tail_cutoff(params.tail_rate, 1.0)
     t = np.minimum(np.sqrt(g.ravel()), t_cap)
     edges, where = np.unique(np.concatenate([[0.0], t_cap * _CDF_LADDER, t]),
@@ -168,13 +168,23 @@ def cdf(params: ChannelParams, gamma):
 def moment(params: ChannelParams, k: float) -> float:
     """E{gamma^k} = gamma_bar^k (1+rho)^{-k} Gamma(1+k)^2 2F1(-k,-k;1;rho).
 
-    The (1+rho)^{-k} factor cancels the 2F1(-1,-1;1;rho) = 1 + rho of the
-    first moment, so E{gamma} = gamma_bar up to rounding; at k = 0 the
-    result is exactly 1.  The quadrature tests check it against the density.
+    The 2F1 factor is the exact finite sum at integer k, so E{gamma^0} = 1
+    exactly.  At other k it is the mean of |1 + r e^{i phi}|^{2k} over the
+    circle, r = sqrt(rho): Laplace's integral (1/pi) int_0^pi ((1-r)^2 +
+    4 r sin^2(phi/2))^k dphi, whose base cannot cancel at any rho in [0, 1].
     """
-    if k < 0:
-        raise DomainError("moment order must be >= 0")
-    f = hyp2f1_symmetric(k, params.rho)
+    if not 0 <= k < math.inf:
+        raise DomainError("moment order must be finite and >= 0")
+    if float(k).is_integer():
+        f = hyp2f1_neg_int(int(k), params.rho)
+    else:
+        r = math.sqrt(params.rho)
+        res = tanh_sinh(lambda phi: ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * phi) ** 2) ** k,
+                        0.0, math.pi, rel_tol=1e-14)
+        if not res.converged:
+            raise ConvergenceError("moment integral did not converge",
+                                   {"k": k, "rho": params.rho, "nodes": res.n_nodes})
+        f = res.value / math.pi
     log_m = k * math.log(params.gamma_bar) - k * math.log1p(params.rho) \
         + 2.0 * math.lgamma(1.0 + k)
     return math.exp(log_m) * f

@@ -114,11 +114,21 @@ def _points(mode: str, rhos, snr_grid, methods) -> list[tuple]:
     return [(mode, rho, snr, m) for rho in rhos for snr in snr_grid for m in methods]
 
 
+def _reject_repeats(values, what: str) -> None:
+    """ConfigError naming the first value that occurs twice in values."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ConfigError(f"repeated {what}: {v}")
+        seen.add(v)
+
+
 def _evaluate_points(points: list[tuple], evaluate, threads: int = 1) -> list[dict]:
     """One row per (mode, rho, snr_db, method) point, sorted by (rho, snr_db,
     method); evaluate(param, method) returns its CapacityEstimate.  Points
     run on a pool when threads > 1; every point is pure, so the thread
-    count cannot change any value."""
+    count cannot change any value.  A repeated point is a ConfigError."""
+    _reject_repeats(points, "point (mode, rho, snr_db, method)")
 
     def row(pt):
         mode, rho, snr_db, method = pt
@@ -200,7 +210,7 @@ def figure_dataset(fig: str, policy: AccuracyPolicy = DEFAULT_POLICY,
     if fig == "fig_awgn_normalised":
         for row in rows:
             snr_I = db_to_linear(row["snr_db"])
-            awgn = LOG2E * math.log1p(snr_I)
+            awgn = capacity_awgn(snr_I).value
             row["capacity_over_awgn"] = row["capacity_bpshz"] / awgn
             row["low_snr_limit_over_awgn"] = \
                 LOG2E * snr_I * (1.0 + row["rho"]) / awgn
@@ -472,11 +482,13 @@ def cmd_pdf(args) -> int:
     snr_vals = parse_value_list(args.snr_db)
     if len(snr_vals) != 1:
         raise ConfigError("pdf takes a single --snr-db value")
-    gammas = parse_value_list(args.gamma)
-    if any(g <= 0 for g in gammas):
-        raise ConfigError("gamma grid must be positive")
+    rhos, gammas = parse_value_list(args.rho), parse_value_list(args.gamma)
+    if not all(0 < g < math.inf for g in gammas):
+        raise ConfigError("gamma grid must be positive and finite")
+    _reject_repeats(rhos, "rho")
+    _reject_repeats(gammas, "gamma")
     rows = []
-    for rho in parse_value_list(args.rho):
+    for rho in rhos:
         cp = Parameterization(args.mode, db_to_linear(snr_vals[0]), rho).channel_params()
         dens = pdf(cp, np.array(gammas))
         for g, d in zip(gammas, dens):

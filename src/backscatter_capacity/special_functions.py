@@ -1,10 +1,10 @@
 """Self-contained special-function kernel.
 
 Everything the capacity formulas need: exponentially scaled modified
-Bessel functions I0/K0, a right-half-plane log-gamma, Gauss hypergeometric
-sums 2F1(-s, -s; 1; rho), the scaled exponential integral e^x E1(x), and
-the vertical-contour quadrature of the capacity series' Mellin-Barnes
-integral.
+Bessel functions I0/K0, a right-half-plane log-gamma, 2F1(-s, -s; 1; rho)
+as the finite sum of the integer moments and as the Gauss hypergeometric
+sums that serve the capacity series' contour, the scaled exponential
+integral e^x E1(x), and that contour's Mellin-Barnes quadrature.
 
 Scaled Bessel variants are the primitives: the product-fading integrands
 combine I0(b t) K0(a t) with exp((b-a) t), which only stays representable
@@ -26,7 +26,6 @@ from .errors import ConvergenceError, DomainError, ParameterError
 
 EULER_GAMMA = 0.5772156649015328606
 LOG2E = 1.4426950408889634074
-LN2 = 0.6931471805599453094
 
 _EPS = np.finfo(float).eps
 
@@ -275,28 +274,12 @@ def hyp2f1_neg_int(k: int, rho: float) -> float:
     return total
 
 
-# Term cap of the 2F1 power series, which needs about log(eps)/log(z)
-# terms.  capacity_series stays far below it: it sums in powers of rho only
-# up to rho = 0.6, in powers of 1 - rho above.  hyp2f1_symmetric at real
-# non-integer k still reaches it above rho = 0.9998 (0.9999 needs 390,000).
-_HYP2F1_MAX_TERMS = 200_000
+# Term cap of the 2F1 power series, which needs about log(eps)/log(z) terms.
+# Only the capacity series' contour sums it, in powers of rho up to 0.6 and
+# of 1 - rho above: at most 118 terms over -100...120 dB.
+_HYP2F1_MAX_TERMS = 10_000
 # terms per block of _hyp2f1_series: the direct path needs 1-110 per call
 _HYP2F1_BLOCK = 16
-
-
-def hyp2f1_symmetric(k: float, rho: float) -> float:
-    """2F1(-k, -k; 1; rho) for real k >= 0: the exact finite sum at integer
-    k, Gauss's sum at rho = 1, the convergent series otherwise."""
-    if k < 0:
-        raise DomainError("order must be >= 0")
-    if float(k).is_integer():
-        return hyp2f1_neg_int(int(k), rho)
-    if not (0.0 <= rho <= 1.0):
-        raise DomainError("hyp2f1_symmetric requires rho in [0, 1]")
-    k = np.asarray(k, dtype=float)
-    if rho == 1.0:
-        return float(_hyp2f1_near_one(k, rho)[0].real)
-    return float(_hyp2f1_series(-k, 1.0, rho)[0])
 
 
 def _hyp2f1_series(a: np.ndarray, c, z: float):

@@ -31,6 +31,7 @@ from .channel_model import (
     moment_log_derivative,
 )
 from .monte_carlo import (
+    KS_CRITICAL_1PCT,
     McConfig,
     estimate_capacity,
     estimate_moment,
@@ -295,7 +296,7 @@ def check_sampler_law(n_samples: int = 100_000,
             mres = ks_test_marginal(rho, cfg, link)
             if not mres.passed:
                 failures.append(f"{link} marginal KS fails at rho={rho}")
-    crit = 1.6276 / math.sqrt(n_samples)
+    crit = KS_CRITICAL_1PCT / math.sqrt(n_samples)
     return _result("sampler_law", failures,
                    f"product KS stats {['%.5f' % s for s in stats]} vs "
                    f"critical {crit:.5f}")

@@ -133,6 +133,9 @@ class TestPdf:
             pdf(ChannelParams(1.0, 0.5), 0.0)
         with pytest.raises(DomainError):
             pdf(ChannelParams(1.0, 1.0), 0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="requires finite gamma > 0"):
+                pdf(ChannelParams(1.0, 0.5), np.array([1.0, bad]))
 
     @pytest.mark.parametrize("gbar", [1e-3, 1.0, 10.0, 1e6])
     def test_rho_one_exponential_law(self, gbar):
@@ -199,7 +202,7 @@ class TestCdf:
 
     @pytest.mark.parametrize("bad", [-1e-12, math.inf, math.nan])
     def test_domain(self, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="requires finite gamma >= 0"):
             cdf(ChannelParams(1.0, 0.5), np.array([1.0, bad]))
 
     @pytest.mark.parametrize("gbar", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
@@ -262,17 +265,35 @@ class TestMoments:
 
     def test_rho_one_gauss_closed_form(self):
         p = ChannelParams(1.0, 1.0)
-        # E{gamma^k}/gbar^k = 2^{-k} Gamma(1+2k)
+        # E{gamma^k}/gbar^k = 2^{-k} Gamma(1+2k), Gauss's sum in the 2F1
         assert moment(p, 2.0) == pytest.approx(6.0, rel=1e-12)
         assert moment(p, 3.0) == pytest.approx(90.0, rel=1e-12)
+        assert moment(p, 0.5) == pytest.approx(2.0 ** -0.5, rel=1e-14, abs=0)
+        for k in (0.3, 1.7, 4.25):
+            ref = 2.0 ** -k * math.gamma(1.0 + 2.0 * k)
+            assert moment(p, k) == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_real_orders_against_mpmath(self):
+        # Laplace's integral for the 2F1 factor, up to and at rho = 1
+        mpmath = pytest.importorskip("mpmath")
+        for k in (1e-4, 0.1, 0.3, 0.5, 1.5, 1.7, 2.5, 3.7):
+            for rho in (0.0, 0.2, 0.6, 0.75, 0.9, 0.99, 0.99999,
+                        1.0 - 1e-9, 1.0 - 1e-12, 1.0):
+                with mpmath.workdps(40):
+                    kk, rr = mpmath.mpf(k), mpmath.mpf(rho)
+                    ref = (1 + rr) ** -kk * mpmath.gamma(1 + kk) ** 2 \
+                        * mpmath.hyp2f1(-kk, -kk, 1, rr)
+                got = moment(ChannelParams(1.0, rho), k)
+                assert abs(got - ref) <= 1e-14 * ref, (k, rho)
 
     def test_noninteger_order_against_quadrature(self):
         p = ChannelParams(2.0, 0.6)
         assert moment(p, 1.5) == pytest.approx(_integrate_moment(p, 1.5), rel=1e-8)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            moment(ChannelParams(1.0, 0.5), -0.5)
+        for k in (-0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                moment(ChannelParams(1.0, 0.5), k)
 
 
 class TestMomentLogDerivative:

@@ -184,6 +184,28 @@ class TestCliEndToEnd:
         assert code == 1
         assert "rho values must lie in [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, repeated", [
+        (["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "0", "--rho", "0.5,0.5",
+          "--method", "quadrature"],
+         "point (mode, rho, snr_db, method): ('fixed_receiver_snr', 0.5, 0.0, 'quadrature')"),
+        (["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "0", "--rho", "0",
+          "--method", "awgn,awgn"],
+         "point (mode, rho, snr_db, method): ('fixed_receiver_snr', 0.0, 0.0, 'awgn')"),
+        (["mc", "--snr-db", "0,0", "--rho", "0", "--samples", "1000", "--batches", "10"],
+         "point (mode, rho, snr_db, method): ('fixed_receiver_snr', 0.0, 0.0, 'mc')"),
+        (["pdf", "--snr-db", "0", "--rho", "0,0", "--gamma", "1"], "rho: 0.0"),
+        (["pdf", "--snr-db", "0", "--rho", "0", "--gamma", "1,2,1"], "gamma: 1.0"),
+    ], ids=["sweep_rho", "sweep_method", "mc_snr", "pdf_rho", "pdf_gamma"])
+    def test_repeated_point_exit_1(self, argv, repeated, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"bscap: repeated {repeated}\n")
+
+    @pytest.mark.parametrize("gamma", ["inf", "nan", "0", "-1"])
+    def test_pdf_gamma_grid_positive_and_finite(self, gamma, capsys):
+        assert main(["pdf", "--snr-db", "0", "--rho", "0", "--gamma", f"1,{gamma}"]) == 1
+        assert capsys.readouterr().err == "bscap: gamma grid must be positive and finite\n"
+
     def test_sweep_rho_one_analytic_exit_0(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--mode", "fixed_power_budget", "--snr-db", "0,20",

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backscatter_capacity import special_functions
+from backscatter_capacity.channel_model import ChannelParams, moment
 from backscatter_capacity.errors import (
     ConvergenceError,
     DomainError,
@@ -30,7 +31,6 @@ from backscatter_capacity.special_functions import (
     bessel_k0_scaled,
     exp_integral_e1_scaled,
     hyp2f1_neg_int,
-    hyp2f1_symmetric,
     mellin_barnes_integral,
 )
 
@@ -188,17 +188,14 @@ class TestHyp2f1:
         assert hyp2f1_neg_int(k, rho) >= 1.0
 
     def test_series_matches_finite_sum_at_integers(self):
+        # moment at a float integer order takes the finite sum, not the
+        # integral of real orders
         for k in (1, 3, 6):
             for rho in (0.2, 0.8):
-                assert hyp2f1_symmetric(float(k) + 0.0, rho) == \
-                    pytest.approx(hyp2f1_neg_int(k, rho), rel=1e-13, abs=0)
-
-    def test_noninteger_series_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
-        for k in (0.3, 1.7):
-            for rho in (0.2, 0.6):
-                ref = float(mpmath.hyp2f1(-k, -k, 1, rho))
-                assert hyp2f1_symmetric(k, rho) == pytest.approx(ref, rel=1e-12)
+                p = ChannelParams(1.0, rho)
+                ref = math.factorial(k) ** 2 * hyp2f1_neg_int(k, rho) / (1.0 + rho) ** k
+                assert moment(p, float(k)) == moment(p, k)
+                assert moment(p, float(k)) == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_complex_orders_against_mpmath(self):
         # the orders capacity_series sums: the power series in rho along
@@ -226,12 +223,17 @@ class TestHyp2f1:
             assert terms <= 60
 
     def test_gauss_sum_at_rho_one(self):
-        # 2F1(-k, -k; 1; 1) = Gamma(1+2k)/Gamma(1+k)^2, e.g. 4/pi at k = 1/2
-        assert hyp2f1_symmetric(0.5, 1.0) == \
-            pytest.approx(4.0 / math.pi, rel=1e-14, abs=0)
+        # 2F1(-k, -k; 1; 1) = Gamma(1+2k)/Gamma(1+k)^2, e.g. 4/pi at k = 1/2,
+        # read off moment at rho = 1 as 2^k E{gamma^k} / Gamma(1+k)^2
+        p = ChannelParams(1.0, 1.0)
+
+        def gauss_sum(k):
+            return moment(p, k) * 2.0 ** k / math.gamma(1.0 + k) ** 2
+
+        assert gauss_sum(0.5) == pytest.approx(4.0 / math.pi, rel=1e-14, abs=0)
         for k in (0.3, 1.7, 4.25):
             ref = math.exp(math.lgamma(1 + 2 * k) - 2 * math.lgamma(1 + k))
-            assert hyp2f1_symmetric(k, 1.0) == pytest.approx(ref, rel=1e-13, abs=0)
+            assert gauss_sum(k) == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -279,8 +281,6 @@ class TestHyp2f1Blocks:
                 want = _reference_hyp2f1_series(np.asarray(-k), 1.0, float(z))
                 assert _same_sum(got, want), (k, z)
                 stops.add(want[1] - 2)
-                ref = float(want[0])
-                assert repr(hyp2f1_symmetric(k, float(z))) == repr(ref)
         assert {14, 15, 16, 17} <= stops
 
     def test_complex_orders_scalar_c(self):
