@@ -246,6 +246,14 @@ def render_json(rows: list[dict], preamble: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _json_scalar(v):
+    """v as a plain JSON value: numpy scalars as numbers, non-finite
+    floats as the strings "nan", "inf" and "-inf"."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    return str(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def write_output(rows: list[dict], preamble: dict, fmt: str,
                  path: str | None, header: str = CSV_HEADER) -> None:
     """Render fully, then write in one shot so failures never leave a
@@ -526,7 +534,9 @@ def main(argv=None) -> int:
         print(f"bscap: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
-        print(f"bscap: numerical failure: {exc} {exc.diagnostics}", file=sys.stderr)
+        print(f"bscap: numerical failure: {exc}", file=sys.stderr)
+        print(json.dumps({k: _json_scalar(v) for k, v in exc.diagnostics.items()},
+                         sort_keys=True), file=sys.stderr)
         return 2
 
 

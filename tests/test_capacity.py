@@ -9,6 +9,8 @@ the near-full-correlation loss at 50/60 dB when mpmath is installed.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -201,6 +203,7 @@ class TestSeries:
                 widest[z] = complex(s)
             return _hyp2f1_series(a, c, z)
 
+        capacity._contour_factor.cache_clear()  # spy on every factor, not cache hits
         monkeypatch.setattr(capacity, "_hyp2f1_series", spy)
         for rho in (0.0, 0.3, 0.6):
             for snr_db in range(-60, 121, 10):
@@ -225,11 +228,73 @@ class TestSeries:
                 return fn(s, *args)
             return counted
 
+        capacity._contour_factor.cache_clear()
         for name in ("_hyp2f1_series", "_hyp2f1_near_one"):
             monkeypatch.setattr(capacity, name, counting(getattr(capacity, name)))
         est = capacity_series(ChannelParams(gamma_bar, rho))
         assert calls == [257]
         assert est.diagnostics["nodes"] == 256
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("rho", [0.6, 0.61])
+    def test_shared_rho_reuses_factor(self, monkeypatch, rho, rel_tol):
+        # the factor does not depend on SNR: a second SNR at the same rho and
+        # tolerance evaluates none and returns what a cold cache returns
+        policy = AccuracyPolicy(rel_tol=rel_tol)
+        capacity._contour_factor.cache_clear()
+        cold = capacity_series(ChannelParams(1e3, rho), policy)
+        capacity._contour_factor.cache_clear()
+        capacity_series(ChannelParams(10.0, rho), policy)
+        calls = []
+        for name in ("_hyp2f1_series", "_hyp2f1_near_one"):
+            monkeypatch.setattr(capacity, name, lambda *a: calls.append(a))
+        warm = capacity_series(ChannelParams(1e3, rho), policy)
+        assert calls == []
+        assert warm == cold
+        assert capacity._contour_factor.cache_info().currsize == 1
+
+    def test_threads_share_factor_cache(self):
+        # points of one rho race on one cache entry; each still returns its
+        # serial estimate
+        points = [ChannelParams(10.0 ** (d / 10.0), rho)
+                  for rho in (0.3, 0.9) for d in (-10, 5, 20, 35)]
+        capacity._contour_factor.cache_clear()
+        serial = [capacity_series(p) for p in points]
+        capacity._contour_factor.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(capacity_series, p) for p in points]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial
+
+    def test_deep_levels_bypass_the_cache(self, monkeypatch):
+        # at rel_tol 1e-13 the 120 dB contour refines past 1,024-node levels
+        # and fails; only levels of at most _MEMO_MAX_NODES are kept
+        sizes = []
+
+        def spy(a, c, z):
+            sizes.append(a.size)
+            return _hyp2f1_series(a, c, z)
+
+        capacity._contour_factor.cache_clear()
+        monkeypatch.setattr(capacity, "_hyp2f1_series", spy)
+        with pytest.raises(ConvergenceError):
+            capacity_series(ChannelParams(1e12, 0.5),
+                            AccuracyPolicy(rel_tol=1e-13, max_quadrature_nodes=8192))
+        kept = [n for n in sizes if n <= capacity._MEMO_MAX_NODES]
+        assert len(kept) < len(sizes)
+        assert capacity._contour_factor.cache_info().currsize == len(kept)
+
+    def test_contour_factor_is_read_only(self):
+        s = 0.5 + 1j * np.linspace(0.0, 8.0, 33)
+        factor, _ = capacity._contour_factor(0.3, s.tobytes())
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0] = 0.0
 
     @pytest.mark.parametrize("rho", [0.61, 0.75, 0.9])
     def test_connection_path_against_moment_series(self, rho):

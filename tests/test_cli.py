@@ -4,6 +4,7 @@ config handling and the figure datasets."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 import backscatter_capacity.cli as cli
@@ -220,7 +221,9 @@ class TestCliEndToEnd:
 
     def test_convergence_error_exit_2(self, monkeypatch, tmp_path, capsys):
         def boom(*a, **k):
-            raise ConvergenceError("no convergence", {"snr_db": 0.0})
+            raise ConvergenceError("no convergence", {
+                "snr_db": 0.0, "nodes": np.int64(64), "z": np.float64(0.5),
+                "last_delta": math.inf, "tail": math.nan})
 
         monkeypatch.setattr(cli, "capacity_quadrature", boom)
         out = tmp_path / "x.csv"
@@ -228,6 +231,11 @@ class TestCliEndToEnd:
                      "--rho", "0", "--method", "quadrature", "--out", str(out)])
         assert code == 2
         assert not out.exists()  # partial output never written
+        message, diagnostics = capsys.readouterr().err.splitlines()
+        assert message == "bscap: numerical failure: no convergence"
+        assert diagnostics == ('{"last_delta": "inf", "nodes": 64, "snr_db": 0.0, '
+                               '"tail": "nan", "z": 0.5}')
+        assert json.loads(diagnostics)["nodes"] == 64
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = {"mode": "fixed_receiver_snr", "snr_db_grid": [0.0],
