@@ -65,8 +65,7 @@ def capacity_quadrature(params: ChannelParams,
     def integrand(t):
         return LOG2E * np.log1p(t * t) * _pdf_t(params, t)
 
-    res = tanh_sinh(integrand, 0.0, t_max, rel_tol=policy.rel_tol,
-                    max_nodes=policy.max_quadrature_nodes)
+    res = tanh_sinh(integrand, 0.0, t_max, rel_tol=policy.rel_tol)
     if not res.converged:
         raise ConvergenceError(
             "capacity quadrature did not converge",

@@ -233,11 +233,7 @@ def render_csv(rows: list[dict], preamble: dict, header: str = CSV_HEADER) -> st
 
 def render_json(rows: list[dict], preamble: dict) -> str:
     def clean(v):
-        if isinstance(v, float):
-            if math.isnan(v):
-                return "nan"
-            return float(f"{v:.9g}")
-        return v
+        return _json_scalar(float(f"{v:.9g}") if isinstance(v, float) else v)
 
     payload = {
         "meta": dict(sorted(preamble.items())),

@@ -4,7 +4,7 @@ The transform x = mid + half*tanh(pi/2 * sinh(u)) clusters nodes at both
 endpoints, which absorbs the logarithmic endpoint singularity of the
 K0-type integrands evaluated here.  Refinement halves the trapezoidal
 step in u and reuses previous nodes; the error estimate is the change
-between consecutive levels.
+between consecutive levels (_halve, which the series contour shares).
 
 The ladder is evaluated in one pass: the arrays that depend on u only are
 cached for levels 0-5 (383 nodes), each call maps them onto (a, b) and
@@ -28,6 +28,7 @@ _HALF_PI = math.pi / 2.0
 _U_MAX = 6.0
 # absolute floor of the convergence test, for integrals that vanish
 _ABS_TOL = 1e-14
+_MAX_NODES = 200_000  # node budget of one refinement, read at call time
 _LOG_DROP = 46.0
 
 
@@ -42,8 +43,39 @@ class QuadratureResult:
 
 # Levels 0.._LADDER_DEPTH (383 nodes) share one cached table and one call
 # of the integrand; every capacity point stops at level 5.  A deeper level
-# gets a table and a call of its own (the default node budget ends at 15).
+# gets a table and a call of its own (the node budget ends at level 15).
 _LADDER_DEPTH = 5
+
+
+def _level_nodes(h: float, end: float, first: int, last: int) -> list[np.ndarray]:
+    """The nodes in [0, end) of trapezoid levels first..last of step h at
+    level 0: all of level 0, then the odd multiples of h/2^level."""
+    return [np.arange(h * 0.5 ** k, end, h * 0.5 ** (k - 1)) if k else np.arange(0.0, end, h)
+            for k in range(first, last + 1)]
+
+
+def _halve(sums: list, more, step: float, rel_tol: float, first_test: int) -> tuple:
+    """(value, error, nodes, level, converged) of the trapezoid rule that
+    halves step until two levels agree within max(rel_tol |value|, _ABS_TOL)
+    from level first_test on, or until _MAX_NODES.  sums holds (sum, node
+    count) per level, each past 0 of its new nodes only; more(level)
+    appends the levels from len(sums) on."""
+    value, n_nodes = step * sums[0][0], sums[0][1]
+    err = math.inf
+    level = 0
+    while n_nodes < _MAX_NODES:
+        level += 1
+        step *= 0.5
+        if level == len(sums):
+            sums += more(level)
+        odd, n_new = sums[level]
+        n_nodes += n_new
+        new_value = 0.5 * value + step * odd
+        err = abs(new_value - value)
+        value = new_value
+        if level >= first_test and err <= max(rel_tol * abs(value), _ABS_TOL):
+            return value, err, n_nodes, level, True
+    return value, err, n_nodes, level, False
 
 
 @lru_cache(maxsize=16)
@@ -52,9 +84,7 @@ def _ladder(first: int, last: int) -> tuple:
     sign) segment order: the t >= 0 mask, e^{-2|t|}, 1 + e^{-2|t|}, cosh u
     and sech^2 t for t = pi/2 sinh u, plus the segment bounds."""
     segments = []
-    for level in range(first, last + 1):
-        h = 0.5 ** level
-        u_pos = np.arange(h, _U_MAX, 2.0 * h) if level else np.arange(0.0, _U_MAX, h)
+    for u_pos in _level_nodes(1.0, _U_MAX, first, last):
         segments += [u_pos, -u_pos[u_pos > 0]]  # u = 0 only once
     u = np.concatenate(segments)
     t = _HALF_PI * np.sinh(u)
@@ -97,7 +127,6 @@ def tanh_sinh(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    max_nodes: int = 200_000,
 ) -> QuadratureResult:
     """Integrate a vectorized integrand over a finite [a, b] with a < b.
 
@@ -107,24 +136,8 @@ def tanh_sinh(
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("finite interval with a < b required")
-    sums = _level_sums(f, a, b, _ladder(0, _LADDER_DEPTH))
-    value, n_nodes = sums[0]
-    h = 1.0
-    err = math.inf
-    level = 0
-    while n_nodes < max_nodes:
-        level += 1
-        h *= 0.5
-        if level == len(sums):
-            sums += _level_sums(f, a, b, _ladder(level, level))
-        odd, n_new = sums[level]
-        n_nodes += n_new
-        new_value = 0.5 * value + h * odd
-        err = abs(new_value - value)
-        value = new_value
-        if level >= 2 and err <= max(rel_tol * abs(value), _ABS_TOL):
-            return QuadratureResult(value, err, n_nodes, level, True)
-    return QuadratureResult(value, err, n_nodes, level, False)
+    return QuadratureResult(*_halve(_level_sums(f, a, b, _ladder(0, _LADDER_DEPTH)),
+                                    lambda k: _level_sums(f, a, b, _ladder(k, k)), 1.0, rel_tol, 2))
 
 
 @lru_cache(maxsize=8)

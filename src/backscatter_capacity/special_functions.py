@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
+from .quadrature import _ABS_TOL, _halve, _level_nodes
 
 EULER_GAMMA = 0.5772156649015328606
 LOG2E = 1.4426950408889634074
@@ -35,15 +36,12 @@ class AccuracyPolicy:
     """Numerical tolerances shared by the quadrature-backed operations."""
 
     rel_tol: float = 1e-10
-    max_quadrature_nodes: int = 200_000
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ParameterError("rel_tol must be strictly positive")
         if self.rel_tol < 100 * _EPS:
             raise ParameterError("rel_tol below 100*machine-epsilon is not honest")
-        if self.max_quadrature_nodes < 64:
-            raise ParameterError("max_quadrature_nodes too small")
 
 
 DEFAULT_POLICY = AccuracyPolicy()
@@ -397,8 +395,6 @@ _MB_CONTOUR_MARGIN = 4.0
 # last trapezoid level of the contour's first factor call: every capacity
 # point of the benchmark grid stops at level 2 (64 + 64 + 128 nodes)
 _MB_DEPTH = 2
-# absolute floor of the contour's convergence and tail tests
-_MB_ABS_TOL = 1e-14
 
 
 def _mb_kernel(s: np.ndarray, z: float) -> np.ndarray:
@@ -436,39 +432,26 @@ def mellin_barnes_integral(c: float, z: float, factor,
             vals = _mb_kernel(s, z) * factor(s)
         return np.where(np.isfinite(vals), vals, 0.0).real
 
+    def more(level):  # the odd nodes of a level, in the current attempt's [0, T]
+        odd = vals[level] if level <= _MB_DEPTH else g(_level_nodes(h, T, level, level)[0])
+        return [(float(np.sum(odd)), odd.size)]
+
     for _attempt in range(4):
         h = min(0.5, T / 64.0)
-        nodes = [np.arange(0.0, T, h)]
-        for k in range(1, _MB_DEPTH + 1):
-            nodes.append(np.arange(h * 0.5 ** k, T, h * 0.5 ** (k - 1)))
+        nodes = _level_nodes(h, T, 0, _MB_DEPTH)
         # one piece per level, then the tail node
         vals = np.split(g(np.concatenate(nodes + [np.array([T])])),
                         np.cumsum([t.size for t in nodes]))
-        total = float(vals[0][0]) * 0.5 + float(np.sum(vals[0][1:]))
-        value = (h / math.pi) * total
-        n_nodes = vals[0].size
-        err = math.inf
-        converged = False
-        level = 0
-        while n_nodes < policy.max_quadrature_nodes:
-            h *= 0.5
-            level += 1
-            odd = vals[level] if level <= _MB_DEPTH else g(np.arange(h, T, 2.0 * h))
-            odd_sum = float(np.sum(odd))
-            n_nodes += odd.size
-            new_value = 0.5 * value + (h / math.pi) * odd_sum
-            err = abs(new_value - value)
-            value = new_value
-            if err <= max(policy.rel_tol * abs(value), _MB_ABS_TOL):
-                converged = True
-                break
+        value, err, n_nodes, _, converged = _halve(
+            [(float(vals[0][0]) * 0.5 + float(np.sum(vals[0][1:])), vals[0].size)],
+            more, h / math.pi, policy.rel_tol, 1)
         if not converged:
             raise ConvergenceError(
                 "Mellin-Barnes quadrature did not reach tolerance",
                 {"nodes": n_nodes, "T": T, "last_delta": err, "z": z})
         # empirical tail check against the exp(-rate t) bound
         tail = abs(float(vals[-1][0])) / (_MB_DECAY_RATE * math.pi)
-        if tail <= max(policy.rel_tol * abs(value), _MB_ABS_TOL):
+        if tail <= max(policy.rel_tol * abs(value), _ABS_TOL):
             return value, err + tail, n_nodes
         T *= 1.5
     raise ConvergenceError("Mellin-Barnes tail did not close",

@@ -30,6 +30,7 @@ from .channel_model import (
     moment,
     moment_log_derivative,
 )
+from .errors import ConvergenceError
 from .monte_carlo import (
     KS_CRITICAL_1PCT,
     McConfig,
@@ -39,7 +40,6 @@ from .monte_carlo import (
     ks_test_marginal,
 )
 from .quadrature import exponential_tail_cutoff, tanh_sinh
-from .special_functions import DEFAULT_POLICY, AccuracyPolicy
 
 SMOKE_GRID = tuple((g, r) for g in (0.1, 1.0, 10.0, 1000.0)
                    for r in (0.0, 0.5, 0.9))
@@ -60,11 +60,14 @@ def _result(name: str, failures: list[str], detail_ok: str) -> CheckResult:
     return CheckResult(name, True, detail_ok)
 
 
-def _integrate_moment(params: ChannelParams, k: float,
-                      policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def _integrate_moment(params: ChannelParams, k: float) -> float:
     t_max = exponential_tail_cutoff(params.tail_rate, poly_power=2.0 * k + 1.0)
-    res = tanh_sinh(lambda t: t ** (2.0 * k) * _pdf_t(params, t), 0.0, t_max,
-                    rel_tol=policy.rel_tol, max_nodes=policy.max_quadrature_nodes)
+    res = tanh_sinh(lambda t: t ** (2.0 * k) * _pdf_t(params, t), 0.0, t_max)
+    if not res.converged:
+        raise ConvergenceError(
+            "moment quadrature did not converge",
+            {"gamma_bar": params.gamma_bar, "rho": params.rho, "k": k,
+             "nodes": res.n_nodes, "error_estimate": res.error_estimate})
     return res.value
 
 

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from backscatter_capacity import capacity, validation
+from backscatter_capacity import capacity, quadrature, validation
 from backscatter_capacity.capacity import (
     _SERIES_SWITCH_RHO,
     capacity_awgn,
@@ -150,6 +150,18 @@ class TestQuadrature:
             c = capacity_quadrature(ChannelParams(gbar, rho)).value
             assert c < capacity_rayleigh(gbar).value < capacity_awgn(gbar).value
 
+    def test_moment_check_raises_when_quadrature_fails(self, monkeypatch):
+        # criterion 1 must not blame the density for an integrator failure
+        monkeypatch.setattr(quadrature, "_MAX_NODES", 64)
+        p = ChannelParams(1.0, 0.5)
+        with pytest.raises(ConvergenceError):
+            capacity_quadrature(p)
+        with pytest.raises(ConvergenceError) as err:
+            validation._integrate_moment(p, 0.0)
+        assert err.value.diagnostics["gamma_bar"] == 1.0
+        assert err.value.diagnostics["rho"] == 0.5
+        assert err.value.diagnostics["k"] == 0.0
+
 
 class TestSeries:
     def test_single_term_at_rho_zero(self):
@@ -282,9 +294,10 @@ class TestSeries:
 
         capacity._contour_factor.cache_clear()
         monkeypatch.setattr(capacity, "_hyp2f1_series", spy)
+        # the default budget would refine to 262,144 nodes (about 200 MiB)
+        monkeypatch.setattr(quadrature, "_MAX_NODES", 8192)
         with pytest.raises(ConvergenceError):
-            capacity_series(ChannelParams(1e12, 0.5),
-                            AccuracyPolicy(rel_tol=1e-13, max_quadrature_nodes=8192))
+            capacity_series(ChannelParams(1e12, 0.5), AccuracyPolicy(rel_tol=1e-13))
         kept = [n for n in sizes if n <= capacity._MEMO_MAX_NODES]
         assert len(kept) < len(sizes)
         assert capacity._contour_factor.cache_info().currsize == len(kept)
@@ -312,10 +325,10 @@ class TestSeries:
         assert rho > _SERIES_SWITCH_RHO
         assert est.value == pytest.approx(float(ref), rel=1e-12, abs=0)
 
-    def test_convergence_error_names_the_point(self):
+    def test_convergence_error_names_the_point(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_NODES", 64)
         with pytest.raises(ConvergenceError) as err:
-            capacity_series(ChannelParams(10.0, 0.5),
-                            AccuracyPolicy(rel_tol=1e-13, max_quadrature_nodes=64))
+            capacity_series(ChannelParams(10.0, 0.5), AccuracyPolicy(rel_tol=1e-13))
         assert err.value.diagnostics["gamma_bar"] == 10.0
         assert err.value.diagnostics["rho"] == 0.5
 

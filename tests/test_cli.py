@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import backscatter_capacity.cli as cli
+from backscatter_capacity import validation
 from backscatter_capacity.cli import (
     CSV_HEADER,
     SweepSpec,
@@ -143,6 +144,29 @@ class TestCliEndToEnd:
         payload = json.loads(out.read_text())
         assert payload["meta"]["mode"] == "fixed_receiver_snr"
         assert len(payload["rows"]) == 2
+
+    def test_json_rows_stay_valid_json(self):
+        # RFC 8259 has no Infinity or NaN: non-finite numbers become strings
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = [{"capacity_bpshz": math.inf, "error_bound": math.nan,
+                 "gamma_bar_linear": -math.inf, "rho": np.float64(0.1234567891234)}]
+        row = json.loads(cli.render_json(rows, {}), parse_constant=reject)["rows"][0]
+        assert row == {"capacity_bpshz": "inf", "error_bound": "nan",
+                       "gamma_bar_linear": "-inf", "rho": 0.123456789}
+
+    def test_tol_sets_the_quadrature_tolerance(self, capsys):
+        assert main(["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "10",
+                     "--rho", "0.5", "--method", "quadrature", "--tol", "1e-12"]) == 0
+        out = capsys.readouterr().out
+        assert "# rel_tol=1e-12\n" in out
+        assert ",levels=5;nodes=383;" in out
+
+    def test_tol_zero_exit_1(self, capsys):
+        assert main(["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "10",
+                     "--rho", "0.5", "--method", "quadrature", "--tol", "0"]) == 1
+        assert capsys.readouterr().err == "bscap: rel_tol must be strictly positive\n"
 
     def test_byte_identical_repeats_with_mc(self, tmp_path):
         args = ["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "0,5",
@@ -325,6 +349,26 @@ class TestCliEndToEnd:
                 if not ln.startswith("#")][1:]
         assert [r[4] for r in body] == ["mc_moment_2"]
         assert body[0][7] == "n_batches=100;n_samples=20000;seed=6"
+
+
+class TestValidate:
+    def test_fast_suite_exit_0(self, capsys):
+        assert main(["validate"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8
+        assert all(ln.startswith("PASS ") for ln in lines[:-1])
+        assert lines[-1] == "7/7 checks passed"
+
+    def test_full_suite_failure_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(validation, "FULL_SUITE", (
+            ("1", lambda: validation.CheckResult("ok", True, "fine")),
+            ("4b", lambda: validation.CheckResult("gap", False, "off by 3"))))
+        assert main(["validate", "--suite", "full"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS criterion_1_ok: fine",
+            "FAIL criterion_4b_gap: off by 3",
+            "1/2 checks passed",
+        ]
 
 
 SMALL_MC = McConfig(n_samples=200_000, seed=12345, n_batches=100)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from backscatter_capacity import capacity
+from backscatter_capacity import capacity, quadrature
 from backscatter_capacity.channel_model import ChannelParams, _pdf_t
 from backscatter_capacity.quadrature import (
     QuadratureResult,
@@ -49,8 +49,9 @@ def test_error_estimate_is_honest():
     assert abs(res.value - 2.0) <= max(10 * res.error_estimate, 1e-12)
 
 
-def test_node_budget_reported():
-    res = tanh_sinh(lambda x: np.exp(-x * x), -3.0, 3.0, max_nodes=40)
+def test_node_budget_reported(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_NODES", 40)
+    res = tanh_sinh(lambda x: np.exp(-x * x), -3.0, 3.0)
     assert isinstance(res, QuadratureResult)
     assert not res.converged or res.n_nodes <= 40
 
@@ -138,12 +139,15 @@ def _reference_tanh_sinh(f, a, b, rel_tol=1e-10, max_nodes=200_000):
     (lambda x: np.exp(-x), 0.0, 60.0, {"rel_tol": 1e-4}),
 ], ids=["square", "log", "inv_sqrt", "exp", "linear", "sin", "max_nodes_40",
         "loose_tol"])
-def test_ladder_bit_identical_to_level_by_level(f, a, b, kwargs):
-    assert repr(tanh_sinh(f, a, b, **kwargs)) == \
+def test_ladder_bit_identical_to_level_by_level(f, a, b, kwargs, monkeypatch):
+    if "max_nodes" in kwargs:
+        monkeypatch.setattr(quadrature, "_MAX_NODES", kwargs["max_nodes"])
+    rel_tol = kwargs.get("rel_tol", 1e-10)
+    assert repr(tanh_sinh(f, a, b, rel_tol)) == \
         repr(_reference_tanh_sinh(f, a, b, **kwargs))
 
 
-def test_ladder_beyond_cached_depth():
+def test_ladder_beyond_cached_depth(monkeypatch):
     # a narrow peak needs levels past 5: each deeper level is its own call
     calls = []
 
@@ -156,7 +160,8 @@ def test_ladder_beyond_cached_depth():
     assert calls == [383] + [192 * 2 ** (lvl - 5) for lvl in range(6, res.levels + 1)]
     assert repr(res) == repr(_reference_tanh_sinh(peak, 0.0, 1.0))
     for max_nodes in (1000, 5000):
-        assert repr(tanh_sinh(peak, 0.0, 1.0, max_nodes=max_nodes)) == \
+        monkeypatch.setattr(quadrature, "_MAX_NODES", max_nodes)
+        assert repr(tanh_sinh(peak, 0.0, 1.0)) == \
             repr(_reference_tanh_sinh(peak, 0.0, 1.0, max_nodes=max_nodes))
 
 

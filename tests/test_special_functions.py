@@ -13,7 +13,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backscatter_capacity import special_functions
+from backscatter_capacity import quadrature, special_functions
 from backscatter_capacity.channel_model import ChannelParams, moment
 from backscatter_capacity.errors import (
     ConvergenceError,
@@ -448,7 +448,7 @@ def _reference_mellin_barnes(c, z, factor, policy=special_functions.DEFAULT_POLI
         n_nodes = t.size
         err = math.inf
         converged = False
-        while n_nodes < policy.max_quadrature_nodes:
+        while n_nodes < quadrature._MAX_NODES:
             h *= 0.5
             t_odd = np.arange(h, T, 2.0 * h)
             odd_sum = float(np.sum(g(t_odd)))
@@ -456,7 +456,7 @@ def _reference_mellin_barnes(c, z, factor, policy=special_functions.DEFAULT_POLI
             new_value = 0.5 * value + (h / math.pi) * odd_sum
             err = abs(new_value - value)
             value = new_value
-            if err <= max(policy.rel_tol * abs(value), special_functions._MB_ABS_TOL):
+            if err <= max(policy.rel_tol * abs(value), quadrature._ABS_TOL):
                 converged = True
                 break
         if not converged:
@@ -464,7 +464,7 @@ def _reference_mellin_barnes(c, z, factor, policy=special_functions.DEFAULT_POLI
                 "Mellin-Barnes quadrature did not reach tolerance",
                 {"nodes": n_nodes, "T": T, "last_delta": err, "z": z})
         tail = abs(float(g(np.array([T]))[0])) / (special_functions._MB_DECAY_RATE * math.pi)
-        if tail <= max(policy.rel_tol * abs(value), special_functions._MB_ABS_TOL):
+        if tail <= max(policy.rel_tol * abs(value), quadrature._ABS_TOL):
             return value, err + tail, n_nodes
         T *= 1.5
     raise ConvergenceError("Mellin-Barnes tail did not close",
@@ -510,9 +510,10 @@ class TestMellinBarnesOnePass:
             assert calls[0] == 257
 
     @pytest.mark.parametrize("max_nodes", [64, 128, 300])
-    def test_node_budget(self, max_nodes):
+    def test_node_budget(self, max_nodes, monkeypatch):
         # 64: no level past 0; 128: level 1 misses; 300: level 3 is its own call
-        policy = AccuracyPolicy(rel_tol=1e-13, max_quadrature_nodes=max_nodes)
+        monkeypatch.setattr(quadrature, "_MAX_NODES", max_nodes)
+        policy = AccuracyPolicy(rel_tol=1e-13)
         for z in (1.0, 1e6):
             got = _outcome(mellin_barnes_integral, 0.4, z, np.ones_like, policy)
             assert got == _outcome(_reference_mellin_barnes, 0.4, z, np.ones_like, policy)
