@@ -30,7 +30,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    ParameterError,
 )
 from .monte_carlo import (
     KsResult,
@@ -43,7 +42,6 @@ from .monte_carlo import (
     ks_test_marginal,
 )
 from .special_functions import (
-    AccuracyPolicy,
     bessel_i0_scaled,
     bessel_k0_scaled,
     hyp2f1_neg_int,

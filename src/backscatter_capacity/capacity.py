@@ -30,10 +30,8 @@ from .channel_model import (
     moment_log_derivative,
 )
 from .errors import ConvergenceError, DomainError
-from .quadrature import exponential_tail_cutoff, tanh_sinh
+from .quadrature import REL_TOL, _check_rel_tol, exponential_tail_cutoff, tanh_sinh
 from .special_functions import (
-    AccuracyPolicy,
-    DEFAULT_POLICY,
     EULER_GAMMA,
     LOG2E,
     _hyp2f1_near_one,
@@ -57,15 +55,14 @@ class CapacityEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def capacity_quadrature(params: ChannelParams,
-                        policy: AccuracyPolicy = DEFAULT_POLICY) -> CapacityEstimate:
+def capacity_quadrature(params: ChannelParams, rel_tol: float = REL_TOL) -> CapacityEstimate:
     """E{log2(1 + gamma)} by tanh-sinh quadrature in t = sqrt(gamma)."""
     t_max = exponential_tail_cutoff(params.tail_rate, poly_power=2.0)
 
     def integrand(t):
         return LOG2E * np.log1p(t * t) * _pdf_t(params, t)
 
-    res = tanh_sinh(integrand, 0.0, t_max, rel_tol=policy.rel_tol)
+    res = tanh_sinh(integrand, 0.0, t_max, _check_rel_tol(rel_tol))
     if not res.converged:
         raise ConvergenceError(
             "capacity quadrature did not converge",
@@ -91,8 +88,7 @@ def _contour_factor(rho: float, nodes_bytes: bytes) -> tuple:
     return factor, n
 
 
-def capacity_series(params: ChannelParams,
-                    policy: AccuracyPolicy = DEFAULT_POLICY) -> CapacityEstimate:
+def capacity_series(params: ChannelParams, rel_tol: float = REL_TOL) -> CapacityEstimate:
     """Capacity as one Mellin-Barnes integral along a vertical line,
 
         log2(e)/(2 pi i) Int Gamma(s)^2 Gamma(1-s) Gamma(1+s)
@@ -120,7 +116,7 @@ def capacity_series(params: ChannelParams,
 
     try:
         value, err, nodes = mellin_barnes_integral(
-            0.4 if near_one else 0.5, (1.0 + rho) / params.gamma_bar, hyp2f1, policy)
+            0.4 if near_one else 0.5, (1.0 + rho) / params.gamma_bar, hyp2f1, rel_tol)
     except ConvergenceError as exc:
         raise ConvergenceError(
             "series did not converge",

@@ -36,9 +36,10 @@ from .channel_model import (
     db_to_linear,
     pdf,
 )
-from .errors import ConfigError, ConvergenceError, DomainError, ParameterError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .monte_carlo import McConfig, estimate_capacity, estimate_moment
-from .special_functions import DEFAULT_POLICY, LOG2E, AccuracyPolicy
+from .quadrature import REL_TOL, _check_rel_tol
+from .special_functions import LOG2E
 
 CSV_HEADER = "mode,rho,snr_db,gamma_bar_linear,method,capacity_bpshz,error_bound,diagnostics"
 PDF_CSV_HEADER = "rho,snr_db,gamma_bar_linear,gamma,density"
@@ -94,17 +95,17 @@ def _mc_estimate(res, mc: McConfig) -> CapacityEstimate:
                              "n_batches": mc.n_batches})
 
 
-# method -> estimate at (Parameterization, policy, Monte Carlo config)
+# method -> estimate at (Parameterization, rel_tol, Monte Carlo config)
 _EVALUATORS = {
-    "quadrature": lambda p, policy, mc: capacity_quadrature(p.channel_params(), policy),
-    "series": lambda p, policy, mc: capacity_series(p.channel_params(), policy),
-    "asymptotic_high": lambda p, policy, mc: (
+    "quadrature": lambda p, tol, mc: capacity_quadrature(p.channel_params(), tol),
+    "series": lambda p, tol, mc: capacity_series(p.channel_params(), tol),
+    "asymptotic_high": lambda p, tol, mc: (
         capacity_high_snr_budget(p.snr_budget) if p.mode == FIXED_POWER_BUDGET
         else capacity_high_snr(p.channel_params())),
-    "asymptotic_low": lambda p, policy, mc: capacity_low_snr(p),
-    "mc": lambda p, policy, mc: _mc_estimate(estimate_capacity(p, mc), mc),
-    "awgn": lambda p, policy, mc: capacity_awgn(p.snr_value),
-    "rayleigh": lambda p, policy, mc: capacity_rayleigh(p.snr_value),
+    "asymptotic_low": lambda p, tol, mc: capacity_low_snr(p),
+    "mc": lambda p, tol, mc: _mc_estimate(estimate_capacity(p, mc), mc),
+    "awgn": lambda p, tol, mc: capacity_awgn(p.snr_value),
+    "rayleigh": lambda p, tol, mc: capacity_rayleigh(p.snr_value),
 }
 SWEEP_METHODS = tuple(_EVALUATORS)
 
@@ -155,12 +156,11 @@ def _evaluate_points(points: list[tuple], evaluate, threads: int = 1) -> list[di
     return rows
 
 
-def run_sweep(spec: SweepSpec, policy: AccuracyPolicy = DEFAULT_POLICY,
-              threads: int = 1) -> list[dict]:
+def run_sweep(spec: SweepSpec, rel_tol: float = REL_TOL, threads: int = 1) -> list[dict]:
     """One row per (rho, snr, method), sorted by (rho, snr_db, method)."""
     points = _points(spec.mode, spec.rho_list, spec.snr_db_grid, spec.methods)
     return _evaluate_points(
-        points, lambda p, m: _EVALUATORS[m](p, policy, spec.mc), threads)
+        points, lambda p, m: _EVALUATORS[m](p, rel_tol, spec.mc), threads)
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +195,7 @@ FIGURE_IDS = tuple(_FIGURES)
 FIGURE_FLAG_MAP = dict(zip("123", FIGURE_IDS))
 
 
-def figure_dataset(fig: str, policy: AccuracyPolicy = DEFAULT_POLICY,
+def figure_dataset(fig: str, rel_tol: float = REL_TOL,
                    mc_config: McConfig = DEFAULT_FIGURE_MC,
                    threads: int = 1) -> list[dict]:
     """Rows reproducing one figure's curves, as its _FIGURES entry lays
@@ -206,7 +206,7 @@ def figure_dataset(fig: str, policy: AccuracyPolicy = DEFAULT_POLICY,
     points = [pt for rhos, step, methods in blocks
               for pt in _points(mode, rhos, _grid(lo, hi, step), methods)]
     rows = _evaluate_points(
-        points, lambda p, m: _EVALUATORS[m](p, policy, mc_config), threads)
+        points, lambda p, m: _EVALUATORS[m](p, rel_tol, mc_config), threads)
     if fig == "fig_awgn_normalised":
         for row in rows:
             snr_I = db_to_linear(row["snr_db"])
@@ -347,10 +347,10 @@ def _mc_from_args(args, base: McConfig | None = None) -> McConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _policy_from_args(args) -> AccuracyPolicy:
-    if args.tol is not None:
-        return AccuracyPolicy(rel_tol=args.tol)
-    return DEFAULT_POLICY
+def _threads_from_args(args) -> int:
+    if args.threads < 1:
+        raise ConfigError("--threads must be at least 1")
+    return args.threads
 
 
 def _add_common_flags(p, mc=True):
@@ -384,10 +384,10 @@ def build_parser() -> _Parser:
                        choices=tuple(FIGURE_FLAG_MAP) + FIGURE_IDS)
     _add_common_flags(p_fig)
     for p in (p_sweep, p_fig):  # the commands that evaluate analytic points
-        p.add_argument("--tol", type=float, default=None,
-                       help="relative tolerance for quadrature/series")
+        p.add_argument("--tol", type=float, default=REL_TOL,
+                       help="relative tolerance of quadrature/series, in [100 eps, 1)")
         p.add_argument("--threads", type=int, default=1,
-                       help="evaluate sweep points in parallel (results unchanged)")
+                       help="evaluate points in parallel, at least 1 (results unchanged)")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo estimate at given points")
     p_mc.add_argument("--mode", choices=MODES, default=FIXED_RECEIVER_SNR)
@@ -431,13 +431,13 @@ def _sweep_spec_from_args(args) -> SweepSpec:
 
 def cmd_sweep(args) -> int:
     spec = _sweep_spec_from_args(args)
-    policy = _policy_from_args(args)
-    rows = run_sweep(spec, policy, threads=max(1, args.threads))
+    rel_tol = _check_rel_tol(args.tol)
+    rows = run_sweep(spec, rel_tol, _threads_from_args(args))
     preamble = {
         "tool": f"bscap sweep v{__version__}",
         "mode": spec.mode,
         "methods": "|".join(spec.methods),
-        "rel_tol": _fmt(policy.rel_tol),
+        "rel_tol": _fmt(rel_tol),
     }
     if spec.mc is not None and "mc" in spec.methods:
         preamble.update(seed=spec.mc.seed, n_samples=spec.mc.n_samples,
@@ -448,16 +448,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_figure(args) -> int:
     fig = FIGURE_FLAG_MAP.get(args.figure, args.figure)
-    policy = _policy_from_args(args)
+    rel_tol = _check_rel_tol(args.tol)
     mc = _mc_from_args(args, DEFAULT_FIGURE_MC)
-    rows = figure_dataset(fig, policy, mc, threads=max(1, args.threads))
+    rows = figure_dataset(fig, rel_tol, mc, _threads_from_args(args))
     preamble = {
         "tool": f"bscap figure v{__version__}",
         "figure": fig,
         "seed": mc.seed,
         "n_samples": mc.n_samples,
         "n_batches": mc.n_batches,
-        "rel_tol": _fmt(policy.rel_tol),
+        "rel_tol": _fmt(rel_tol),
     }
     write_output(rows, preamble, args.format or "csv", args.out)
     return 0
@@ -525,8 +525,7 @@ def main(argv=None) -> int:
                 "pdf": cmd_pdf, "validate": cmd_validate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, DomainError, ParameterError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"bscap: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

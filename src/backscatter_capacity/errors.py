@@ -6,12 +6,8 @@ ConvergenceError marks a numerical failure (the CLI exits 2).
 
 
 class DomainError(ValueError):
-    """Argument outside the mathematical domain of an operation (e.g. a
-    non-positive SNR or a correlation outside [0, 1])."""
-
-
-class ParameterError(ValueError):
-    """Invalid accuracy setting (e.g. a non-positive tolerance)."""
+    """Argument outside the domain of an operation (e.g. a non-positive
+    SNR, a correlation outside [0, 1] or a tolerance outside [100 eps, 1))."""
 
 
 class ConvergenceError(RuntimeError):

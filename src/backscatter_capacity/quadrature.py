@@ -23,6 +23,10 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
+
+# default relative tolerance of every quadrature-backed computation
+REL_TOL = 1e-10
 _HALF_PI = math.pi / 2.0
 # |u| beyond this leaves the endpoint offset subnormal and adds nothing.
 _U_MAX = 6.0
@@ -30,6 +34,17 @@ _U_MAX = 6.0
 _ABS_TOL = 1e-14
 _MAX_NODES = 200_000  # node budget of one refinement, read at call time
 _LOG_DROP = 46.0
+
+
+def _check_rel_tol(rel_tol: float) -> float:
+    """rel_tol if it lies in [100 eps, 1), else DomainError."""
+    if not rel_tol > 0:
+        raise DomainError("rel_tol must be strictly positive")
+    if rel_tol < 100 * np.finfo(float).eps:
+        raise DomainError("rel_tol below 100*machine-epsilon is not honest")
+    if rel_tol >= 1:
+        raise DomainError("rel_tol must be below 1")
+    return rel_tol
 
 
 @dataclass(frozen=True)
@@ -126,7 +141,7 @@ def tanh_sinh(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    rel_tol: float = 1e-10,
+    rel_tol: float = REL_TOL,
 ) -> QuadratureResult:
     """Integrate a vectorized integrand over a finite [a, b] with a < b.
 

@@ -18,33 +18,14 @@ series above.  Both are within 1e-15 relative of mpmath on [1e-8, 1e6]
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
-from .quadrature import _ABS_TOL, _halve, _level_nodes
+from .errors import ConvergenceError, DomainError
+from .quadrature import _ABS_TOL, REL_TOL, _check_rel_tol, _halve, _level_nodes
 
 EULER_GAMMA = 0.5772156649015328606
 LOG2E = 1.4426950408889634074
-
-_EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class AccuracyPolicy:
-    """Numerical tolerances shared by the quadrature-backed operations."""
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ParameterError("rel_tol must be strictly positive")
-        if self.rel_tol < 100 * _EPS:
-            raise ParameterError("rel_tol below 100*machine-epsilon is not honest")
-
-
-DEFAULT_POLICY = AccuracyPolicy()
 
 
 # ----------------------------------------------------------------------
@@ -407,8 +388,7 @@ def _mb_kernel(s: np.ndarray, z: float) -> np.ndarray:
         / (s * np.sin(math.pi * s))
 
 
-def mellin_barnes_integral(c: float, z: float, factor,
-                           policy: AccuracyPolicy = DEFAULT_POLICY):
+def mellin_barnes_integral(c: float, z: float, factor, rel_tol: float = REL_TOL):
     """(value, error_estimate, n_nodes) of
     1/(2 pi i) * Int _mb_kernel(s, z) factor(s) ds along Re s = c, with
     z > 0, exploiting the conjugate symmetry of the kernel.  Any c at which
@@ -424,7 +404,7 @@ def mellin_barnes_integral(c: float, z: float, factor,
     call; the sums and tests then read slices of it in level order.  A
     level past _MB_DEPTH calls factor on its own odd nodes.
     """
-    T = (-math.log(policy.rel_tol * 1e-3)) / _MB_DECAY_RATE + _MB_CONTOUR_MARGIN
+    T = (-math.log(_check_rel_tol(rel_tol) * 1e-3)) / _MB_DECAY_RATE + _MB_CONTOUR_MARGIN
 
     def g(t):
         s = c + 1j * t
@@ -444,14 +424,14 @@ def mellin_barnes_integral(c: float, z: float, factor,
                         np.cumsum([t.size for t in nodes]))
         value, err, n_nodes, _, converged = _halve(
             [(float(vals[0][0]) * 0.5 + float(np.sum(vals[0][1:])), vals[0].size)],
-            more, h / math.pi, policy.rel_tol, 1)
+            more, h / math.pi, rel_tol, 1)
         if not converged:
             raise ConvergenceError(
                 "Mellin-Barnes quadrature did not reach tolerance",
                 {"nodes": n_nodes, "T": T, "last_delta": err, "z": z})
         # empirical tail check against the exp(-rate t) bound
         tail = abs(float(vals[-1][0])) / (_MB_DECAY_RATE * math.pi)
-        if tail <= max(policy.rel_tol * abs(value), _ABS_TOL):
+        if tail <= max(rel_tol * abs(value), _ABS_TOL):
             return value, err + tail, n_nodes
         T *= 1.5
     raise ConvergenceError("Mellin-Barnes tail did not close",

@@ -35,7 +35,6 @@ from backscatter_capacity.channel_model import (
 from backscatter_capacity.errors import ConvergenceError, DomainError
 from backscatter_capacity.special_functions import (
     LOG2E,
-    AccuracyPolicy,
     _hyp2f1_series,
 )
 
@@ -252,15 +251,14 @@ class TestSeries:
     def test_shared_rho_reuses_factor(self, monkeypatch, rho, rel_tol):
         # the factor does not depend on SNR: a second SNR at the same rho and
         # tolerance evaluates none and returns what a cold cache returns
-        policy = AccuracyPolicy(rel_tol=rel_tol)
         capacity._contour_factor.cache_clear()
-        cold = capacity_series(ChannelParams(1e3, rho), policy)
+        cold = capacity_series(ChannelParams(1e3, rho), rel_tol)
         capacity._contour_factor.cache_clear()
-        capacity_series(ChannelParams(10.0, rho), policy)
+        capacity_series(ChannelParams(10.0, rho), rel_tol)
         calls = []
         for name in ("_hyp2f1_series", "_hyp2f1_near_one"):
             monkeypatch.setattr(capacity, name, lambda *a: calls.append(a))
-        warm = capacity_series(ChannelParams(1e3, rho), policy)
+        warm = capacity_series(ChannelParams(1e3, rho), rel_tol)
         assert calls == []
         assert warm == cold
         assert capacity._contour_factor.cache_info().currsize == 1
@@ -297,7 +295,7 @@ class TestSeries:
         # the default budget would refine to 262,144 nodes (about 200 MiB)
         monkeypatch.setattr(quadrature, "_MAX_NODES", 8192)
         with pytest.raises(ConvergenceError):
-            capacity_series(ChannelParams(1e12, 0.5), AccuracyPolicy(rel_tol=1e-13))
+            capacity_series(ChannelParams(1e12, 0.5), 1e-13)
         kept = [n for n in sizes if n <= capacity._MEMO_MAX_NODES]
         assert len(kept) < len(sizes)
         assert capacity._contour_factor.cache_info().currsize == len(kept)
@@ -328,7 +326,7 @@ class TestSeries:
     def test_convergence_error_names_the_point(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_NODES", 64)
         with pytest.raises(ConvergenceError) as err:
-            capacity_series(ChannelParams(10.0, 0.5), AccuracyPolicy(rel_tol=1e-13))
+            capacity_series(ChannelParams(10.0, 0.5), 1e-13)
         assert err.value.diagnostics["gamma_bar"] == 10.0
         assert err.value.diagnostics["rho"] == 0.5
 

@@ -168,6 +168,32 @@ class TestCliEndToEnd:
                      "--rho", "0.5", "--method", "quadrature", "--tol", "0"]) == 1
         assert capsys.readouterr().err == "bscap: rel_tol must be strictly positive\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "10", "--rho", "0.5",
+         "--method", "quadrature,series"],
+        ["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "10", "--rho", "0.5",
+         "--method", "mc", "--samples", "20000"],
+        ["figure", "--figure", "1", "--samples", "20000"],
+    ], ids=["analytic", "mc", "figure"])
+    @pytest.mark.parametrize("tol", ["1", "1e30", "inf"])
+    def test_tol_from_one_up_exit_1(self, argv, tol, capsys):
+        # rejected before any point is evaluated: 1e30 made the series
+        # contour negative in length and its capacity negative, inf raised
+        assert main(argv + ["--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "bscap: rel_tol must be below 1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "10", "--rho", "0.5",
+         "--method", "awgn"],
+        ["figure", "--figure", "1", "--samples", "20000"],
+    ], ids=["sweep", "figure"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_1(self, argv, threads, capsys):
+        assert main(argv + ["--threads", threads]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "bscap: --threads must be at least 1\n")
+
     def test_byte_identical_repeats_with_mc(self, tmp_path):
         args = ["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "0,5",
                 "--rho", "0.5", "--method", "mc", "--samples", "20000",
@@ -372,11 +398,20 @@ class TestValidate:
 
 
 SMALL_MC = McConfig(n_samples=200_000, seed=12345, n_batches=100)
+_SMALL_MC_ROWS = {}
+
+
+def _small_mc_rows(fig):
+    """Serial figure_dataset(fig, mc_config=SMALL_MC), built once per figure
+    id; each call gets fresh row dicts."""
+    if fig not in _SMALL_MC_ROWS:
+        _SMALL_MC_ROWS[fig] = figure_dataset(fig, mc_config=SMALL_MC)
+    return [dict(r) for r in _SMALL_MC_ROWS[fig]]
 
 
 class TestFigureDatasets:
     def test_fixed_receiver_structure(self):
-        rows = figure_dataset("fig_fixed_receiver", mc_config=SMALL_MC)
+        rows = _small_mc_rows("fig_fixed_receiver")
         methods = {r["method"] for r in rows}
         assert methods == {"quadrature", "asymptotic_high", "mc", "awgn", "rayleigh"}
         snrs = sorted({r["snr_db"] for r in rows})
@@ -387,7 +422,7 @@ class TestFigureDatasets:
         assert rhos == {0.0, 0.3, 0.6, 0.9}
 
     def test_fixed_receiver_correlation_loss_at_40db(self):
-        rows = figure_dataset("fig_fixed_receiver", mc_config=SMALL_MC)
+        rows = _small_mc_rows("fig_fixed_receiver")
         quad40 = {r["rho"]: r["capacity_bpshz"] for r in rows
                   if r["method"] == "quadrature" and r["snr_db"] == 40.0}
         assert abs((quad40[0.0] - quad40[0.9]) - math.log2(1.9)) <= 0.05
@@ -399,7 +434,7 @@ class TestFigureDatasets:
         assert max(at40) - min(at40) <= 0.05
 
     def test_fixed_budget_rho_one_served_by_mc(self):
-        rows = figure_dataset("fig_fixed_budget", mc_config=SMALL_MC)
+        rows = _small_mc_rows("fig_fixed_budget")
         rho1_methods = {r["method"] for r in rows if r["rho"] == 1.0}
         assert rho1_methods == {"mc"}
         full_grid = {r["snr_db"] for r in rows
@@ -433,8 +468,7 @@ class TestFigureDatasets:
 
     @pytest.mark.parametrize("fig", cli.FIGURE_IDS)
     def test_threads_do_not_change_rows(self, fig):
-        assert figure_dataset(fig, mc_config=SMALL_MC, threads=2) == \
-            figure_dataset(fig, mc_config=SMALL_MC, threads=1)
+        assert figure_dataset(fig, mc_config=SMALL_MC, threads=2) == _small_mc_rows(fig)
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ConfigError):

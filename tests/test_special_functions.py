@@ -13,18 +13,13 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backscatter_capacity import quadrature, special_functions
+from backscatter_capacity import capacity, quadrature, special_functions
 from backscatter_capacity.channel_model import ChannelParams, moment
-from backscatter_capacity.errors import (
-    ConvergenceError,
-    DomainError,
-    ParameterError,
-)
+from backscatter_capacity.errors import ConvergenceError, DomainError
 from backscatter_capacity.special_functions import (
     _BESSEL_CHUNK,
     _BESSEL_SWITCH,
     _K0_CHEB_COEF,
-    AccuracyPolicy,
     _hyp2f1_series,
     _lanczos_right,
     bessel_i0_scaled,
@@ -373,6 +368,16 @@ class TestExpIntegral:
 # log-against-density integral with unit mean SNR, zero correlation)
 CAPACITY_KERNEL_AT_ONE = 0.5123583776982227
 
+# the routes that check rel_tol -> their value at (gbar, rho) = (1, 0.5)
+_TOL_ROUTES = {
+    "capacity_quadrature":
+        lambda tol: capacity.capacity_quadrature(ChannelParams(1.0, 0.5), tol).value,
+    "capacity_series":
+        lambda tol: capacity.capacity_series(ChannelParams(1.0, 0.5), tol).value,
+    "mellin_barnes_integral": lambda tol: mellin_barnes_integral(
+        0.5, 1.5, lambda s: _hyp2f1_series(-s, 1.0, 0.5)[0], tol)[0],
+}
+
 
 class TestMeijerG:
     """The capacity series' kernel G^{3,1}_{1,3}[z | 0; 0,0,1] in closed
@@ -421,16 +426,28 @@ class TestMeijerG:
                 ratio = mags[i + 1] / mags[i]
                 assert ratio <= math.exp(-2.0 * math.pi * (t[i + 1] - t[i]) * 0.9)
 
-    def test_policy_validation(self):
-        with pytest.raises(ParameterError):
-            AccuracyPolicy(rel_tol=0.0)
-        with pytest.raises(ParameterError):
-            AccuracyPolicy(rel_tol=1e-16)
+    @pytest.mark.parametrize("tol, message", [
+        (0.0, "strictly positive"),
+        (math.nan, "strictly positive"),
+        (1e-16, "below 100\\*machine-epsilon"),
+        (1.0, "must be below 1"),
+        (1e30, "must be below 1"),
+        (math.inf, "must be below 1"),
+    ], ids=["0", "nan", "1e-16", "1", "1e30", "inf"])
+    @pytest.mark.parametrize("route", sorted(_TOL_ROUTES))
+    def test_rel_tol_outside_range(self, route, tol, message):
+        with pytest.raises(DomainError, match=message):
+            _TOL_ROUTES[route](tol)
+
+    @pytest.mark.parametrize("route", sorted(_TOL_ROUTES))
+    def test_rel_tol_just_above_100_eps(self, route):
+        assert 2.3e-14 > 100 * np.finfo(float).eps
+        assert math.isfinite(_TOL_ROUTES[route](2.3e-14))
 
 
-def _reference_mellin_barnes(c, z, factor, policy=special_functions.DEFAULT_POLICY):
+def _reference_mellin_barnes(c, z, factor, rel_tol=quadrature.REL_TOL):
     """Level by level: one factor call per trapezoid level, one for the tail."""
-    T = (-math.log(policy.rel_tol * 1e-3)) / special_functions._MB_DECAY_RATE \
+    T = (-math.log(rel_tol * 1e-3)) / special_functions._MB_DECAY_RATE \
         + special_functions._MB_CONTOUR_MARGIN
 
     def g(t):
@@ -456,7 +473,7 @@ def _reference_mellin_barnes(c, z, factor, policy=special_functions.DEFAULT_POLI
             new_value = 0.5 * value + (h / math.pi) * odd_sum
             err = abs(new_value - value)
             value = new_value
-            if err <= max(policy.rel_tol * abs(value), quadrature._ABS_TOL):
+            if err <= max(rel_tol * abs(value), quadrature._ABS_TOL):
                 converged = True
                 break
         if not converged:
@@ -464,7 +481,7 @@ def _reference_mellin_barnes(c, z, factor, policy=special_functions.DEFAULT_POLI
                 "Mellin-Barnes quadrature did not reach tolerance",
                 {"nodes": n_nodes, "T": T, "last_delta": err, "z": z})
         tail = abs(float(g(np.array([T]))[0])) / (special_functions._MB_DECAY_RATE * math.pi)
-        if tail <= max(policy.rel_tol * abs(value), quadrature._ABS_TOL):
+        if tail <= max(rel_tol * abs(value), quadrature._ABS_TOL):
             return value, err + tail, n_nodes
         T *= 1.5
     raise ConvergenceError("Mellin-Barnes tail did not close",
@@ -502,10 +519,9 @@ class TestMellinBarnesOnePass:
     @pytest.mark.parametrize("z", [1e-6, 1.0, 1e6])
     def test_elementwise_factors(self, name, c, z):
         for rel_tol in (1e-6, 1e-10, 1e-13):
-            policy = AccuracyPolicy(rel_tol=rel_tol)
             calls = []
-            got = mellin_barnes_integral(c, z, _counting(_ELEMENTWISE[name], calls), policy)
-            want = _reference_mellin_barnes(c, z, _ELEMENTWISE[name], policy)
+            got = mellin_barnes_integral(c, z, _counting(_ELEMENTWISE[name], calls), rel_tol)
+            want = _reference_mellin_barnes(c, z, _ELEMENTWISE[name], rel_tol)
             assert repr(got) == repr(want), rel_tol
             assert calls[0] == 257
 
@@ -513,20 +529,18 @@ class TestMellinBarnesOnePass:
     def test_node_budget(self, max_nodes, monkeypatch):
         # 64: no level past 0; 128: level 1 misses; 300: level 3 is its own call
         monkeypatch.setattr(quadrature, "_MAX_NODES", max_nodes)
-        policy = AccuracyPolicy(rel_tol=1e-13)
         for z in (1.0, 1e6):
-            got = _outcome(mellin_barnes_integral, 0.4, z, np.ones_like, policy)
-            assert got == _outcome(_reference_mellin_barnes, 0.4, z, np.ones_like, policy)
+            got = _outcome(mellin_barnes_integral, 0.4, z, np.ones_like, 1e-13)
+            assert got == _outcome(_reference_mellin_barnes, 0.4, z, np.ones_like, 1e-13)
             assert ("did not reach tolerance" in got) == (max_nodes < 300)
 
     def test_level_past_depth(self):
         assert special_functions._MB_DEPTH == 2
-        policy = AccuracyPolicy(rel_tol=1e-13)
         calls = []
-        got = mellin_barnes_integral(0.4, 1.0, _counting(np.ones_like, calls), policy)
+        got = mellin_barnes_integral(0.4, 1.0, _counting(np.ones_like, calls), 1e-13)
         assert calls == [257, 256]
         assert got[2] == 512
-        assert repr(got) == repr(_reference_mellin_barnes(0.4, 1.0, np.ones_like, policy))
+        assert repr(got) == repr(_reference_mellin_barnes(0.4, 1.0, np.ones_like, 1e-13))
 
     def test_tail_retry(self):
         # cos(4 (s - c)) = cosh(4t) on the contour: the integrand decays like
@@ -534,8 +548,7 @@ class TestMellinBarnesOnePass:
         def factor(s):
             return np.cos(4.0 * (s - 0.5))
 
-        policy = AccuracyPolicy(rel_tol=1e-10)
         calls = []
-        got = mellin_barnes_integral(0.5, 1e6, _counting(factor, calls), policy)
+        got = mellin_barnes_integral(0.5, 1e6, _counting(factor, calls), 1e-10)
         assert calls == [257, 256, 257, 256]
-        assert repr(got) == repr(_reference_mellin_barnes(0.5, 1e6, factor, policy))
+        assert repr(got) == repr(_reference_mellin_barnes(0.5, 1e6, factor, 1e-10))
