@@ -1,7 +1,7 @@
 """Average capacity of the correlated product channel, four ways.
 
 * capacity_quadrature -- direct integration of log2(1+gamma) against the
-  density, in the sqrt-SNR domain with scaled Bessel factors;
+  density, in u = tail_rate sqrt(gamma) with scaled Bessel factors;
 * capacity_series -- the Meijer-G series summed over all Bessel orders in
   closed form: one Mellin-Barnes contour integral of a Meijer kernel times
   a 2F1(-s, -s; 1; rho) factor;
@@ -26,7 +26,7 @@ import numpy as np
 from .channel_model import (
     ChannelParams,
     Parameterization,
-    _pdf_t,
+    _pdf_u,
     moment_log_derivative,
 )
 from .errors import ConvergenceError, DomainError
@@ -43,9 +43,12 @@ from .special_functions import (
 # capacity_series sums the 2F1 factor in powers of rho up to here and in
 # powers of 1 - rho above: the measured crossover of the two term counts
 _SERIES_SWITCH_RHO = 0.6
-# contour factors on more nodes than this are not memoized: levels past 5,
-# which only tolerances below 1e-12 reach, would hold megabytes per entry
+# memoized node arrays hold at most this many nodes: the deeper levels that
+# only tight tolerances reach would hold megabytes per entry
 _MEMO_MAX_NODES = 1024
+# the upper end of the capacity integral in u, where u^2 e^{-u} has dropped
+# by e^-46 from its peak: one node array for every point
+_U_MAX = exponential_tail_cutoff(1.0, poly_power=2.0)
 
 
 @dataclass(frozen=True)
@@ -55,37 +58,69 @@ class CapacityEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _memo_per_rho(kernel):
+    """kernel(rho, nodes) -> (array, ...), memoized per (rho, node array):
+    up to 128 entries, each array read-only so that every caller and thread
+    can share it.  Keyed by the whole node array, since the kernel may
+    depend on all of it; arrays of more than _MEMO_MAX_NODES nodes are
+    evaluated afresh."""
+    @lru_cache(maxsize=128)
+    def cached(rho: float, nodes_bytes: bytes, dtype) -> tuple:
+        out = kernel(rho, np.frombuffer(nodes_bytes, dtype=dtype))
+        out[0].flags.writeable = False
+        return out
+
+    def memo(rho: float, nodes: np.ndarray) -> tuple:
+        if nodes.size > _MEMO_MAX_NODES:
+            return kernel(rho, nodes)
+        return cached(rho, nodes.tobytes(), nodes.dtype)
+
+    memo.cache_clear, memo.cache_info = cached.cache_clear, cached.cache_info
+    return memo
+
+
+@_memo_per_rho
+def _log2e_density(rho: float, u: np.ndarray) -> tuple:
+    """(log2(e) times the density of u = tail_rate sqrt(gamma),)."""
+    return (_pdf_u(rho, u, LOG2E),)
+
+
 def capacity_quadrature(params: ChannelParams, rel_tol: float = REL_TOL) -> CapacityEstimate:
-    """E{log2(1 + gamma)} by tanh-sinh quadrature in t = sqrt(gamma)."""
-    t_max = exponential_tail_cutoff(params.tail_rate, poly_power=2.0)
+    """E{log2(1 + gamma)} by tanh-sinh quadrature in u = tail_rate sqrt(gamma),
 
-    def integrand(t):
-        return LOG2E * np.log1p(t * t) * _pdf_t(params, t)
+        Int_0^U_MAX log2(1 + (u/tail_rate)^2) f_U(u) du.
 
-    res = tanh_sinh(integrand, 0.0, t_max, _check_rel_tol(rel_tol))
+    The density f_U does not depend on gamma_bar, and every point shares the
+    interval [0, _U_MAX] and so the node array: log2(e) f_U is memoized per
+    (rho, node array) and a further SNR at a cached rho costs one log1p
+    pass.  t_max reports the cutoff in t = sqrt(gamma).
+    """
+    rho, rate = params.rho, params.tail_rate
+
+    def integrand(u):
+        t = u / rate
+        return np.log1p(t * t) * _log2e_density(rho, u)[0]
+
+    res = tanh_sinh(integrand, 0.0, _U_MAX, _check_rel_tol(rel_tol))
     if not res.converged:
         raise ConvergenceError(
             "capacity quadrature did not converge",
-            {"gamma_bar": params.gamma_bar, "rho": params.rho,
+            {"gamma_bar": params.gamma_bar, "rho": rho,
              "nodes": res.n_nodes, "error_estimate": res.error_estimate})
     return CapacityEstimate(
         value=res.value,
         error_bound=res.error_estimate,
-        diagnostics={"nodes": res.n_nodes, "levels": res.levels, "t_max": t_max},
+        diagnostics={"nodes": res.n_nodes, "levels": res.levels, "t_max": _U_MAX / rate},
     )
 
 
-@lru_cache(maxsize=128)
-def _contour_factor(rho: float, nodes_bytes: bytes) -> tuple:
-    """(log2(e) 2F1(-s, -s; 1; rho) as a read-only array, terms summed) on
-    the complex nodes s = frombuffer(nodes_bytes).  Keyed by the whole node
-    array: the block-summed 2F1's term count is set by its slowest node."""
-    s = np.frombuffer(nodes_bytes, dtype=complex)
+@_memo_per_rho
+def _contour_factor(rho: float, s: np.ndarray) -> tuple:
+    """(log2(e) 2F1(-s, -s; 1; rho), terms summed) on the complex nodes s.
+    The block-summed 2F1's term count is set by its slowest node."""
     value, n = _hyp2f1_near_one(s, rho) if rho > _SERIES_SWITCH_RHO \
         else _hyp2f1_series(-s, 1.0, rho)
-    factor = LOG2E * value
-    factor.flags.writeable = False
-    return factor, n
+    return LOG2E * value, n
 
 
 def capacity_series(params: ChannelParams, rel_tol: float = REL_TOL) -> CapacityEstimate:
@@ -101,16 +136,15 @@ def capacity_series(params: ChannelParams, rel_tol: float = REL_TOL) -> Capacity
     where 1 + 2s is never an integer.  terms_used counts 2F1 terms.
 
     The factor does not depend on gbar, so it is memoized per (rho, node
-    array) up to _MEMO_MAX_NODES nodes: at most 128 entries of 32 bytes per
-    node, about 8 KB for the usual 257 nodes, with no setting.
+    array) by _memo_per_rho: 32 bytes per node, about 8 KB per entry for the
+    usual 257 nodes.
     """
     rho = params.rho
     near_one = rho > _SERIES_SWITCH_RHO
     terms = []
 
     def hyp2f1(s):
-        memo = _contour_factor if s.size <= _MEMO_MAX_NODES else _contour_factor.__wrapped__
-        factor, n = memo(rho, s.tobytes())
+        factor, n = _contour_factor(rho, s)
         terms.append(n)
         return factor
 

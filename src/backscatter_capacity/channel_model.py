@@ -55,7 +55,7 @@ class ChannelParams:
 
     @property
     def _one_minus_rho(self) -> float:
-        if self.rho == 1.0:  # the density is exponential there, see _pdf_t
+        if self.rho == 1.0:  # the density is exponential there, see _pdf_u
             raise DomainError("the Bessel-form constants a, b, pdf_scale need rho < 1")
         return 1.0 - self.rho
 
@@ -74,10 +74,10 @@ class ChannelParams:
 
     @property
     def tail_rate(self) -> float:
-        """Rate of the density tail exp(-rate t) in t = sqrt(gamma)."""
-        if self.rho == 1.0:
-            return math.sqrt(2.0 / self.gamma_bar)
-        return self.a - self.b
+        """Rate of the density tail exp(-rate t) in t = sqrt(gamma):
+        a - b = 2 sqrt((1+rho)/gamma_bar)/(1+sqrt(rho)), in the form that does
+        not cancel as rho -> 1 and is sqrt(2/gamma_bar) at rho = 1."""
+        return 2.0 * math.sqrt((1.0 + self.rho) / self.gamma_bar) / (1.0 + math.sqrt(self.rho))
 
 
 @dataclass(frozen=True)
@@ -113,26 +113,41 @@ class Parameterization:
 
 
 def pdf(params: ChannelParams, gamma):
-    """Density of the instantaneous SNR, _pdf_t(sqrt(gamma)) / (2 sqrt(gamma))."""
+    """Density of the instantaneous SNR, rate^2 f_U(u) / (2 u) in terms of
+    the density f_U of u = rate sqrt(gamma), rate = tail_rate."""
     g = np.asarray(gamma, dtype=float)
     if np.any(g <= 0) or not np.all(np.isfinite(g)):
         raise DomainError("pdf requires finite gamma > 0")
-    t = np.sqrt(np.atleast_1d(g))
-    vals = _pdf_t(params, t) / (2.0 * t)
+    rate = params.tail_rate
+    u = np.sqrt(np.atleast_1d(g))
+    u *= rate  # in place: one array of the grid's size stays alive, not two
+    vals = _pdf_u(params.rho, u, 0.5 * rate * rate) / u
     return float(vals[0]) if g.ndim == 0 else vals
 
 
+def _pdf_u(rho: float, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale times the density of u = tail_rate sqrt(gamma), which does not
+    depend on gamma_bar.  At rho = 1 both links carry one gain G ~ Exp(1)
+    and u = G, so the density is e^{-u}.  Below it, with
+    kappa = (1+sqrt(rho))/(1-rho), the density is
+    (1-rho) kappa^2 u I0e((kappa-1) u) K0e(kappa u) e^{-u}, where
+    (1-rho) kappa^2 = (1+sqrt(rho)) kappa: the scaled
+    Bessel form stays representable where the raw product would overflow,
+    the exponent -u is exact and kappa - 1 is formed as sqrt(rho) kappa, so
+    nothing cancels as rho -> 1."""
+    if rho == 1.0:
+        return scale * np.exp(-u)
+    r = math.sqrt(rho)
+    kappa = (1.0 + r) / (1.0 - rho)
+    return (scale * (1.0 + r) * kappa) * u * bessel_i0_scaled(r * kappa * u) \
+        * bessel_k0_scaled(kappa * u) * np.exp(-u)
+
+
 def _pdf_t(params: ChannelParams, t: np.ndarray) -> np.ndarray:
-    """Density of t = sqrt(gamma), pdf(t^2) * 2 t.  For rho < 1 the scaled
-    form 2 pdf_scale t I0e(b t) K0e(a t) exp((b-a) t) stays representable
-    where the raw Bessel product would overflow; at rho = 1 both links carry
-    one gain G ~ Exp(1), so t = sqrt(snr_budget) G is exponential."""
-    if params.rho == 1.0:
-        d = params.tail_rate
-        return d * np.exp(-d * t)
-    a, b = params.a, params.b
-    return params.pdf_scale * 2.0 * t * bessel_i0_scaled(b * t) * bessel_k0_scaled(a * t) \
-        * np.exp((b - a) * t)
+    """Density of t = sqrt(gamma), tail_rate times the density of
+    u = tail_rate t."""
+    rate = params.tail_rate
+    return _pdf_u(params.rho, rate * t, rate)
 
 
 # Panel edges below every query point: t_cap * 2^-k, so no panel spans more

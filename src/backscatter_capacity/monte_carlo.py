@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_model import Parameterization, cdf
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .special_functions import LOG2E
 
 # asymptotic Kolmogorov critical constant at the 1% level
@@ -137,7 +137,8 @@ def _batch_means(param: Parameterization, config: McConfig, transform):
     batches k, k + W, ... and reuses its own rows of one caller-allocated
     buffer; each batch is still one np.sum over the whole batch.  The
     overall mean is the exactly-summed total over batches divided by
-    n_samples, so it does not depend on accumulation order.
+    n_samples, so it does not depend on accumulation order; a total that
+    is not finite raises ConvergenceError.
     """
     # in both parameterizations gamma = snr_budget * g_f * g_b:
     # the fixed-receiver mode folds its 1/(1+rho) normalization into
@@ -149,17 +150,26 @@ def _batch_means(param: Parameterization, config: McConfig, transform):
     sums = [0.0] * len(streams)
 
     def work(k: int) -> None:
-        for i in range(k, len(streams), n_workers):
-            rng, size = streams[i]
-            g_f, g_b = _draw_pairs(rng, rho, size, bufs[k])
-            np.multiply(scale, g_f, out=g_f)
-            np.multiply(g_f, g_b, out=g_f)
-            sums[i] = float(np.sum(transform(g_f)))
+        # a gamma past the double range becomes inf, and the total says so
+        with np.errstate(over="ignore"):
+            for i in range(k, len(streams), n_workers):
+                rng, size = streams[i]
+                g_f, g_b = _draw_pairs(rng, rho, size, bufs[k])
+                np.multiply(scale, g_f, out=g_f)
+                np.multiply(g_f, g_b, out=g_f)
+                sums[i] = float(np.sum(transform(g_f)))
 
     for future in [_POOL.submit(work, k) for k in range(n_workers)]:
         future.result()
+    try:
+        estimate = math.fsum(sums) / config.n_samples
+    except OverflowError:  # finite batch sums whose total is not finite
+        estimate = math.inf
+    if not math.isfinite(estimate):
+        raise ConvergenceError("Monte Carlo sum is not finite",
+                               {"seed": config.seed, "gamma_bar": param.gamma_bar,
+                                "rho": rho})
     means = [s / size for s, (_, size) in zip(sums, streams)]
-    estimate = math.fsum(sums) / config.n_samples
     std_error = float(np.std(np.array(means), ddof=1) / math.sqrt(len(means)))
     return estimate, std_error, tuple(means)
 

@@ -57,8 +57,8 @@ class QuadratureResult:
 
 
 # Levels 0.._LADDER_DEPTH (383 nodes) share one cached table and one call
-# of the integrand; every capacity point stops at level 5.  A deeper level
-# gets a table and a call of its own (the node budget ends at level 15).
+# of the integrand; capacity points stop at levels 4-6, most at 5.  A deeper
+# level gets a table and a call of its own (the node budget ends at level 15).
 _LADDER_DEPTH = 5
 
 

@@ -118,11 +118,13 @@ class TestQuadrature:
         est = capacity_quadrature(ChannelParams(gbar, 1.0))
         assert est.value == pytest.approx(_ci_si_capacity(gbar), rel=1e-11)
 
-    @pytest.mark.xfail(strict=True, reason="the tail rate a - b cancels as rho -> 1: "
-                       "1.5e-7 relative error at rho = 1 - 1e-9")
-    def test_near_full_correlation_against_oracle(self):
-        est = capacity_quadrature(ChannelParams(1.0, 1.0 - 1e-9))
-        assert est.value == pytest.approx(_oracle_capacity(1.0, 1.0 - 1e-9), rel=1e-9)
+    @pytest.mark.parametrize("rho, rel", [(1.0 - 1e-7, 2e-15), (1.0 - 1e-9, 2e-15),
+                                          (1.0 - 2.0 ** -53, 1e-11)])
+    def test_near_full_correlation_against_oracle(self, rho, rel):
+        # the tail rate and the density in u do not cancel as rho -> 1; the
+        # oracle itself loses digits to 1/(1-rho) at rho = 1 - 2^-53
+        ref = _oracle_capacity(1.0, rho)
+        assert abs(capacity_quadrature(ChannelParams(1.0, rho)).value - ref) <= rel * ref
 
     def test_monotone_in_gamma_bar(self):
         for rho in (0.0, 0.6):
@@ -148,6 +150,54 @@ class TestQuadrature:
         for gbar, rho in ((1.0, 0.0), (10.0, 0.5), (1000.0, 0.9)):
             c = capacity_quadrature(ChannelParams(gbar, rho)).value
             assert c < capacity_rayleigh(gbar).value < capacity_awgn(gbar).value
+
+    def test_threads_share_density_cache(self):
+        # points of one rho race on one cache entry; each still returns its
+        # serial estimate
+        points = [ChannelParams(10.0 ** (d / 10.0), rho)
+                  for rho in (0.3, 0.9, 1.0) for d in (-10, 5, 20, 35)]
+        capacity._log2e_density.cache_clear()
+        serial = [capacity_quadrature(p) for p in points]
+        capacity._log2e_density.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(capacity_quadrature, p) for p in points]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(got) == repr(serial)
+        assert capacity._log2e_density.cache_info().currsize == 3
+
+    def test_density_is_read_only(self):
+        u = np.linspace(0.1, 40.0, 33)
+        dens, = capacity._log2e_density(0.3, u)
+        assert not dens.flags.writeable
+        with pytest.raises(ValueError):
+            dens[0] = 0.0
+
+    def test_deep_levels_bypass_the_cache(self, monkeypatch):
+        # at rel_tol 1e-13 this point refines to level 6, whose 384 new
+        # nodes are one array past a memo limit of 383: levels 0-5 are
+        # kept, level 6 is evaluated afresh on every call
+        sizes = []
+        real = capacity._pdf_u
+
+        def spy(rho, u, scale=1.0):
+            sizes.append(u.size)
+            return real(rho, u, scale)
+
+        monkeypatch.setattr(capacity, "_pdf_u", spy)
+        monkeypatch.setattr(capacity, "_MEMO_MAX_NODES", 383)
+        capacity._log2e_density.cache_clear()
+        p = ChannelParams(1e6, 0.5)
+        cold = capacity_quadrature(p, 1e-13)
+        warm = capacity_quadrature(p, 1e-13)
+        assert cold.diagnostics["levels"] == 6
+        assert sizes == [383, 384, 384]
+        assert capacity._log2e_density.cache_info().currsize == 1
+        assert repr(warm) == repr(cold)
 
     def test_moment_check_raises_when_quadrature_fails(self, monkeypatch):
         # criterion 1 must not blame the density for an integrator failure
@@ -302,7 +352,7 @@ class TestSeries:
 
     def test_contour_factor_is_read_only(self):
         s = 0.5 + 1j * np.linspace(0.0, 8.0, 33)
-        factor, _ = capacity._contour_factor(0.3, s.tobytes())
+        factor, _ = capacity._contour_factor(0.3, s)
         assert not factor.flags.writeable
         with pytest.raises(ValueError):
             factor[0] = 0.0

@@ -145,6 +145,22 @@ class TestPdf:
         exact = np.exp(-np.sqrt(g / s)) / (2.0 * np.sqrt(g * s))
         np.testing.assert_allclose(pdf(ChannelParams(gbar, 1.0), g), exact, rtol=1e-13)
 
+    @pytest.mark.parametrize("rho", [0.99, 1.0 - 1e-7, 1.0 - 1e-9])
+    @pytest.mark.parametrize("gbar", [1.0, 100.0])
+    def test_near_full_correlation_against_mpmath(self, gbar, rho):
+        # z = g_f g_b = (1+rho) gamma / gbar has density (2/(1-rho))
+        # I0(2 sqrt(rho z)/(1-rho)) K0(2 sqrt(z)/(1-rho)); nothing in the
+        # density of u cancels as rho -> 1
+        mp = pytest.importorskip("mpmath")
+        g = gbar * np.array([1e-6, 1e-3, 0.1, 1.0, 5.0, 30.0])
+        with mp.workdps(40):
+            r, s = mp.mpf(rho), 1 / (1 - mp.mpf(rho))
+            jac = (1 + r) / gbar
+            ref = np.array([float(2 * s * jac * mp.besseli(0, 2 * s * mp.sqrt(r * jac * x))
+                                  * mp.besselk(0, 2 * s * mp.sqrt(jac * x)))
+                            for x in map(mp.mpf, g)])
+        np.testing.assert_allclose(pdf(ChannelParams(gbar, rho), g), ref, rtol=1e-14, atol=0)
+
 
 def _oracle_cdf(gbar, rho, grid):
     """P(SNR <= gamma) on an increasing gamma grid, by mpmath quadrature of

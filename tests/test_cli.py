@@ -287,6 +287,16 @@ class TestCliEndToEnd:
                                '"tail": "nan", "z": 0.5}')
         assert json.loads(diagnostics)["nodes"] == 64
 
+    def test_mc_past_the_double_range_exit_2(self, capsys):
+        code = main(["mc", "--snr-db", "3070", "--rho", "0", "--samples", "10000",
+                     "--batches", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "bscap: numerical failure: Monte Carlo sum is not finite",
+            '{"gamma_bar": 1e+307, "rho": 0.0, "seed": 12345}']
+
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = {"mode": "fixed_receiver_snr", "snr_db_grid": [0.0],
                "rho_list": [0.5], "methods": ["awgn"], "output_format": "csv"}
@@ -427,8 +437,8 @@ class TestFigureDatasets:
                   if r["method"] == "quadrature" and r["snr_db"] == 40.0}
         assert abs((quad40[0.0] - quad40[0.9]) - math.log2(1.9)) <= 0.05
 
-    def test_fixed_budget_collapse_at_40db(self):
-        rows = figure_dataset("fig_fixed_budget")  # default 1e6-sample MC
+    def test_fixed_budget_collapse_at_40db(self, golden_figure):
+        _, rows = golden_figure("2")  # default 1e6-sample MC
         at40 = [r["capacity_bpshz"] for r in rows
                 if r["snr_db"] == 40.0 and r["method"] in ("quadrature", "mc")]
         assert max(at40) - min(at40) <= 0.05
@@ -441,8 +451,8 @@ class TestFigureDatasets:
                      if r["rho"] == 1.0 and r["method"] == "mc"}
         assert len(full_grid) == 26
 
-    def test_awgn_normalised_ratios(self):
-        rows = figure_dataset("fig_awgn_normalised")
+    def test_awgn_normalised_ratios(self, golden_figure):
+        _, rows = golden_figure("3")
         assert all("capacity_over_awgn" in r for r in rows)
         at_m30 = {(r["rho"], r["method"]): r for r in rows if r["snr_db"] == -30.0}
         assert at_m30[(1.0, "mc")]["capacity_over_awgn"] == \

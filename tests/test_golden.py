@@ -13,22 +13,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from backscatter_capacity.cli import main
-
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN_FIGURE_SHA256 = {
-    "1": "60c8e51997f11d580a4b5771e82f7e931f9b16d1ed72edd67296b8bb1c5b1389",
-    "2": "61f0854a56466f123764e849f1a969e1866a79d1e7e1903fd6a60cd880987ab5",
-    "3": "aadb61e74b6361e1abb3c19d6ff40a8e1bfa6b85398fb32619dd4d92250d2912",
+    "1": "5159af6cefef653279dc9b1118edaad2c42afdce4f994d8d862ddebe13d8562f",
+    "2": "c5d6550487c4951432dfc5e05f9c154c800d7dc06bc69ec731875f8960585a61",
+    "3": "1db9070ece2987d2def05b3850da4a59ff0f00b8688c332269d7b2452955ecf5",
 }
 
 
 @pytest.mark.parametrize("figure", sorted(GOLDEN_FIGURE_SHA256))
-def test_figure_output_pinned(figure, tmp_path):
+def test_figure_output_pinned(figure, golden_figure):
     if np.__version__ != GOLDEN_NUMPY:
         pytest.fail(f"figure hashes were pinned under numpy {GOLDEN_NUMPY}, "
                     f"this is numpy {np.__version__}: regenerate them")
-    out = tmp_path / f"figure{figure}.csv"
-    assert main(["figure", "--figure", figure, "--seed", "12345",
-                 "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FIGURE_SHA256[figure]
+    data, _ = golden_figure(figure)  # shared with tests/test_cli.py
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_FIGURE_SHA256[figure]

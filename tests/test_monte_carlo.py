@@ -21,7 +21,7 @@ from backscatter_capacity.channel_model import (
     ChannelParams,
     Parameterization,
 )
-from backscatter_capacity.errors import ConfigError, DomainError
+from backscatter_capacity.errors import ConfigError, ConvergenceError, DomainError
 from backscatter_capacity.monte_carlo import (
     KsResult,
     McConfig,
@@ -153,6 +153,22 @@ class TestEstimates:
         res = estimate_moment(Parameterization(FIXED_RECEIVER_SNR, 1.0, 1.0),
                               2, CFG)
         assert abs(res.estimate - 6.0) <= 3.0 * res.std_error
+
+    def test_sum_past_the_double_range_raises(self):
+        # at 3070 dB some scale g_f g_b passes 1.8e308 and its log is inf:
+        # the estimate raises, and no overflow warning leaves the pool
+        cfg = McConfig(n_samples=10_000, seed=12345, n_batches=10)
+        with pytest.raises(ConvergenceError) as err:
+            estimate_capacity(Parameterization(FIXED_RECEIVER_SNR, 1e307, 0.0), cfg)
+        assert err.value.diagnostics == {"seed": 12345, "gamma_bar": 1e307, "rho": 0.0}
+        # here every batch sum, about 5e307, is finite and their total is not
+        with pytest.raises(ConvergenceError):
+            estimate_moment(Parameterization(FIXED_RECEIVER_SNR, 5e304, 0.5), 1, cfg)
+        # 20 dB lower every sample stays finite, and so does the estimate
+        param = Parameterization(FIXED_RECEIVER_SNR, 1e305, 0.0)
+        res = estimate_capacity(param, cfg)
+        assert (res.estimate, res.std_error, res.batch_estimates) == \
+            _serial_reference(param, cfg, monte_carlo._log2_1p)
 
     def test_moment_order_domain(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from backscatter_capacity import capacity, quadrature
-from backscatter_capacity.channel_model import ChannelParams, _pdf_t
+from backscatter_capacity.channel_model import ChannelParams, _pdf_u
 from backscatter_capacity.quadrature import (
     QuadratureResult,
     exponential_tail_cutoff,
@@ -168,25 +168,38 @@ def test_ladder_beyond_cached_depth(monkeypatch):
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.9999, 1.0])
 def test_ladder_bit_identical_on_capacity_integrand(rho):
     for snr_db in range(-60, 121, 10):
-        params = ChannelParams(10.0 ** (snr_db / 10.0), rho)
-        t_max = exponential_tail_cutoff(params.tail_rate, poly_power=2.0)
+        rate = ChannelParams(10.0 ** (snr_db / 10.0), rho).tail_rate
 
-        def integrand(t):
-            return LOG2E * np.log1p(t * t) * _pdf_t(params, t)
+        def integrand(u):
+            t = u / rate
+            return np.log1p(t * t) * _pdf_u(rho, u, LOG2E)
 
-        assert repr(tanh_sinh(integrand, 0.0, t_max)) == \
-            repr(_reference_tanh_sinh(integrand, 0.0, t_max)), snr_db
+        assert repr(tanh_sinh(integrand, 0.0, capacity._U_MAX)) == \
+            repr(_reference_tanh_sinh(integrand, 0.0, capacity._U_MAX)), snr_db
 
 
 @pytest.mark.parametrize("gamma_bar, rho", [(0.1, 0.0), (10.0, 0.5), (1e4, 0.99), (1.0, 1.0)])
 def test_capacity_point_evaluates_density_once(monkeypatch, gamma_bar, rho):
+    # from an empty cache the density runs once, on the 383 nodes of levels
+    # 0-5; a second SNR at the same rho runs it no more and returns what a
+    # cold cache returns
     calls = []
 
-    def counting_pdf_t(params, t):
-        calls.append(np.size(t))
-        return _pdf_t(params, t)
+    def counting_pdf_u(rho, u, scale=1.0):
+        calls.append(np.size(u))
+        return _pdf_u(rho, u, scale)
 
-    monkeypatch.setattr(capacity, "_pdf_t", counting_pdf_t)
+    monkeypatch.setattr(capacity, "_pdf_u", counting_pdf_u)
+    capacity._log2e_density.cache_clear()
     est = capacity.capacity_quadrature(ChannelParams(gamma_bar, rho))
     assert calls == [383]
     assert est.diagnostics["nodes"] == 383
+
+    capacity._log2e_density.cache_clear()
+    cold = capacity.capacity_quadrature(ChannelParams(0.1 * gamma_bar, rho))
+    capacity._log2e_density.cache_clear()
+    capacity.capacity_quadrature(ChannelParams(gamma_bar, rho))
+    calls.clear()
+    warm = capacity.capacity_quadrature(ChannelParams(0.1 * gamma_bar, rho))
+    assert calls == []
+    assert repr(warm) == repr(cold)
