@@ -24,13 +24,14 @@ from functools import lru_cache
 import numpy as np
 
 from .channel_model import (
+    _U_MAX,
     ChannelParams,
     Parameterization,
     _pdf_u,
     moment_log_derivative,
 )
 from .errors import ConvergenceError, DomainError
-from .quadrature import REL_TOL, _check_rel_tol, exponential_tail_cutoff, tanh_sinh
+from .quadrature import REL_TOL, _check_rel_tol, tanh_sinh
 from .special_functions import (
     EULER_GAMMA,
     LOG2E,
@@ -46,9 +47,6 @@ _SERIES_SWITCH_RHO = 0.6
 # memoized node arrays hold at most this many nodes: the deeper levels that
 # only tight tolerances reach would hold megabytes per entry
 _MEMO_MAX_NODES = 1024
-# the upper end of the capacity integral in u, where u^2 e^{-u} has dropped
-# by e^-46 from its peak: one node array for every point
-_U_MAX = exponential_tail_cutoff(1.0, poly_power=2.0)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import exponential_tail_cutoff, gauss_legendre_rule, tanh_sinh
+from .quadrature import exponential_tail_cutoff, tanh_sinh
 from .special_functions import (
     EULER_GAMMA,
     bessel_i0_scaled,
@@ -41,8 +41,7 @@ def db_to_linear(x_db: float) -> float:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Mean receiver SNR and power correlation, with the derived kernel
-    constants of the product-fading density."""
+    """Mean receiver SNR and power correlation, and the density's tail rate."""
 
     gamma_bar: float
     rho: float
@@ -54,29 +53,10 @@ class ChannelParams:
             raise DomainError("rho must lie in [0, 1]")
 
     @property
-    def _one_minus_rho(self) -> float:
-        if self.rho == 1.0:  # the density is exponential there, see _pdf_u
-            raise DomainError("the Bessel-form constants a, b, pdf_scale need rho < 1")
-        return 1.0 - self.rho
-
-    @property
-    def a(self) -> float:
-        return (2.0 / self._one_minus_rho) * math.sqrt((1.0 + self.rho) / self.gamma_bar)
-
-    @property
-    def b(self) -> float:
-        return self.a * math.sqrt(self.rho)
-
-    @property
-    def pdf_scale(self) -> float:
-        """Constant factor (2/gamma_bar)(1+rho)/(1-rho) of the density."""
-        return (2.0 / self.gamma_bar) * (1.0 + self.rho) / self._one_minus_rho
-
-    @property
     def tail_rate(self) -> float:
-        """Rate of the density tail exp(-rate t) in t = sqrt(gamma):
-        a - b = 2 sqrt((1+rho)/gamma_bar)/(1+sqrt(rho)), in the form that does
-        not cancel as rho -> 1 and is sqrt(2/gamma_bar) at rho = 1."""
+        """Rate of the density tail exp(-rate t) in t = sqrt(gamma),
+        2 sqrt((1+rho)/gamma_bar)/(1+sqrt(rho)), in the form that does not
+        cancel as rho -> 1 and is sqrt(2/gamma_bar) at rho = 1."""
         return 2.0 * math.sqrt((1.0 + self.rho) / self.gamma_bar) / (1.0 + math.sqrt(self.rho))
 
 
@@ -143,39 +123,39 @@ def _pdf_u(rho: float, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
         * bessel_k0_scaled(kappa * u) * np.exp(-u)
 
 
-def _pdf_t(params: ChannelParams, t: np.ndarray) -> np.ndarray:
-    """Density of t = sqrt(gamma), tail_rate times the density of
-    u = tail_rate t."""
-    rate = params.tail_rate
-    return _pdf_u(params.rho, rate * t, rate)
+# the support of cdf and the capacity integral in u: u^2 e^{-u} drops by e^-46
+_U_MAX = exponential_tail_cutoff(2.0)
 
-
-# Panel edges below every query point: t_cap * 2^-k, so no panel spans more
-# than a factor of 2 toward the K0 log singularity of the density at t = 0,
-# and t_cap * j/32, so none spans more than 1/32 of the exponential tail.
-_CDF_LADDER = np.concatenate([2.0 ** -np.arange(40), np.arange(1, 32) / 32.0])
+# Panel edges below every query point: _U_MAX * 2^-k, so no panel spans more
+# than a factor of 2 toward the K0 log singularity of the density at u = 0,
+# and _U_MAX * j/32, so none spans more than 1/32 of the exponential tail.
+_CDF_LADDER = _U_MAX * np.concatenate([2.0 ** -np.arange(40), np.arange(1, 32) / 32.0])
+# cdf's 8-node Gauss-Legendre rule on [0, 1], numpy's leggauss(8) mapped from [-1, 1] and
+# written out: computing it would load numpy.polynomial or LAPACK on import
+_GAUSS_NODES = np.array([0.019855071751231912, 0.10166676129318664, 0.2372337950418355,
+                         0.4082826787521751, 0.5917173212478248, 0.7627662049581645,
+                         0.8983332387068134, 0.9801449282487681])
+_GAUSS_WEIGHTS = np.array([0.05061426814518853, 0.11119051722668721, 0.15685332293894344,
+                           0.18134189168918083])[[0, 1, 2, 3, 3, 2, 1, 0]]
 
 
 def cdf(params: ChannelParams, gamma):
     """P(SNR <= gamma), for any shape and order of gamma.
 
-    The density is integrated once in t = sqrt(gamma): the query points,
-    clipped at the tail cutoff, and a graded ladder toward t = 0 cut
-    [0, t_cap] into panels, each summed by an 8-node Gauss rule, and the
+    The density of u = tail_rate sqrt(gamma) is integrated once: the query
+    points, clipped at _U_MAX, and a graded ladder toward u = 0 cut
+    [0, _U_MAX] into panels, each summed by an 8-node Gauss rule, and the
     running sum of the panel masses is the CDF at every edge.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0) or not np.all(np.isfinite(g)):
         raise DomainError("cdf requires finite gamma >= 0")
-    t_cap = exponential_tail_cutoff(params.tail_rate, 1.0)
-    t = np.minimum(np.sqrt(g.ravel()), t_cap)
-    edges, where = np.unique(np.concatenate([[0.0], t_cap * _CDF_LADDER, t]),
-                             return_inverse=True)
+    u = np.minimum(params.tail_rate * np.sqrt(g.ravel()), _U_MAX)
+    edges, where = np.unique(np.concatenate([[0.0], _CDF_LADDER, u]), return_inverse=True)
     lo, width = edges[:-1], np.diff(edges)
-    u, w = gauss_legendre_rule(8)
-    vals = _pdf_t(params, (lo[:, None] + width[:, None] * u).ravel())
-    mass = np.concatenate([[0.0], np.cumsum((vals.reshape(-1, u.size) @ w) * width)])
-    # the query points follow t = 0 and the ladder in the concatenation
+    vals = _pdf_u(params.rho, lo[:, None] + width[:, None] * _GAUSS_NODES)
+    mass = np.concatenate([[0.0], np.cumsum((vals @ _GAUSS_WEIGHTS) * width)])
+    # the query points follow u = 0 and the ladder in the concatenation
     out = np.minimum(mass[where[1 + _CDF_LADDER.size:]], 1.0)
     return float(out[0]) if g.ndim == 0 else out.reshape(g.shape)
 

@@ -45,6 +45,7 @@ CSV_HEADER = "mode,rho,snr_db,gamma_bar_linear,method,capacity_bpshz,error_bound
 PDF_CSV_HEADER = "rho,snr_db,gamma_bar_linear,gamma,density"
 
 DEFAULT_FIGURE_MC = McConfig(n_samples=1_000_000, seed=12345, n_batches=100)
+_MAX_LIST_POINTS = 1_000_000  # points of one start:stop:step list, checked before _grid
 
 
 @dataclass(frozen=True)
@@ -289,6 +290,8 @@ def parse_value_list(text: str) -> tuple:
     start, stop, step = values
     if step <= 0 or stop < start:
         raise ConfigError("need stop >= start and step > 0")
+    if not (stop + 0.5 * step - start) / step <= _MAX_LIST_POINTS:
+        raise ConfigError(f"start:stop:step {text!r}: at most {_MAX_LIST_POINTS} points allowed")
     return _grid(start, stop, step)
 
 

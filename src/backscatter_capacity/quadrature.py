@@ -155,22 +155,10 @@ def tanh_sinh(
                                     lambda k: _level_sums(f, a, b, _ladder(k, k)), 1.0, rel_tol, 2))
 
 
-@lru_cache(maxsize=8)
-def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def exponential_tail_cutoff(decay: float, poly_power: float) -> float:
-    """Upper limit T where exp(-decay*t)*t^poly_power has dropped by
-    exp(-_LOG_DROP) relative to its peak."""
-    if decay <= 0:
-        raise ValueError("decay must be positive")
-    if poly_power <= 0:
-        return _LOG_DROP / decay
-    t_star = poly_power / decay
-    t = t_star + _LOG_DROP / decay
+def exponential_tail_cutoff(poly_power: float) -> float:
+    """Upper limit U where exp(-u) u^poly_power, poly_power > 0, has dropped
+    by exp(-_LOG_DROP) relative to its peak at u = poly_power."""
+    u = poly_power + _LOG_DROP
     for _ in range(4):
-        t = t_star + (_LOG_DROP + poly_power * math.log(t / t_star)) / decay
-    return t
+        u = poly_power + (_LOG_DROP + poly_power * math.log(u / poly_power))
+    return u

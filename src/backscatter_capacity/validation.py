@@ -26,7 +26,7 @@ from .channel_model import (
     FIXED_RECEIVER_SNR,
     ChannelParams,
     Parameterization,
-    _pdf_t,
+    _pdf_u,
     moment,
     moment_log_derivative,
 )
@@ -61,14 +61,15 @@ def _result(name: str, failures: list[str], detail_ok: str) -> CheckResult:
 
 
 def _integrate_moment(params: ChannelParams, k: float) -> float:
-    t_max = exponential_tail_cutoff(params.tail_rate, poly_power=2.0 * k + 1.0)
-    res = tanh_sinh(lambda t: t ** (2.0 * k) * _pdf_t(params, t), 0.0, t_max)
+    """E{gamma^k} = E{u^{2k}} / tail_rate^{2k}, u = tail_rate sqrt(gamma)."""
+    res = tanh_sinh(lambda u: u ** (2.0 * k) * _pdf_u(params.rho, u),
+                    0.0, exponential_tail_cutoff(2.0 * k + 1.0))
     if not res.converged:
         raise ConvergenceError(
             "moment quadrature did not converge",
             {"gamma_bar": params.gamma_bar, "rho": params.rho, "k": k,
              "nodes": res.n_nodes, "error_estimate": res.error_estimate})
-    return res.value
+    return res.value / params.tail_rate ** (2.0 * k)
 
 
 # ----------------------------------------------------------------------

@@ -35,23 +35,18 @@ class TestParams:
     def test_from_receiver_snr(self):
         p = Parameterization(FIXED_RECEIVER_SNR, db_to_linear(0.0), 0.0).channel_params()
         assert p.gamma_bar == 1.0
-        assert p.a == pytest.approx(2.0, rel=1e-14, abs=0)
-        assert p.b == 0.0
+        assert p.tail_rate == pytest.approx(2.0, rel=1e-14, abs=0)
 
         p = Parameterization(FIXED_RECEIVER_SNR, db_to_linear(0.0), 0.5).channel_params()
-        assert p.a == pytest.approx(4.898979485566356, rel=1e-12)
-        assert p.b == pytest.approx(3.4641016151377544, rel=1e-12)
+        assert p.tail_rate == pytest.approx(4.898979485566356 - 3.4641016151377544, rel=1e-12)
 
     def test_rho_one_has_no_bessel_constants(self):
-        # a, b and pdf_scale are the Bessel-form constants of rho < 1; at
-        # rho = 1 they are a library error, never a ZeroDivisionError
+        # at rho = 1 the density is exponential in u = tail_rate sqrt(gamma)
+        # and the tail rate needs no 1/(1 - rho)
         p = Parameterization(FIXED_RECEIVER_SNR, db_to_linear(10.0), 1.0).channel_params()
         assert p.gamma_bar == pytest.approx(10.0)
-        for name in ("a", "b", "pdf_scale"):
-            with pytest.raises(DomainError):
-                getattr(p, name)
         assert p.tail_rate == pytest.approx(math.sqrt(0.2), rel=1e-15, abs=0)
-        # a - b tends to the same rate as rho -> 1
+        # the rate below rho = 1 tends to the same value as rho -> 1
         assert ChannelParams(10.0, 1.0 - 1e-6).tail_rate == \
             pytest.approx(p.tail_rate, rel=1e-6)
 
@@ -114,7 +109,7 @@ class TestPdf:
         val = pdf(p, g)
         assert np.isfinite(val) and val >= 0.0
         # strictly positive wherever the true density is representable at all
-        if (p.a - p.b) * math.sqrt(g) < 700.0:
+        if p.tail_rate * math.sqrt(g) < 700.0:
             assert val > 0.0
 
     def test_extreme_gamma_stays_representable(self):
@@ -123,7 +118,7 @@ class TestPdf:
         assert np.isfinite(pdf(p, 1e-12))
 
     def test_normalization_and_mean_spot(self):
-        for gbar, rho in ((0.1, 0.0), (1.0, 0.5), (100.0, 0.9)):
+        for gbar, rho in ((0.1, 0.0), (1.0, 0.5), (100.0, 0.9), (10.0, 1.0 - 1e-9), (10.0, 1.0)):
             p = ChannelParams(gbar, rho)
             assert _integrate_moment(p, 0.0) == pytest.approx(1.0, abs=1e-8)
             assert _integrate_moment(p, 1.0) == pytest.approx(gbar, rel=1e-7)

@@ -39,6 +39,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_value_list("a:b:c")
 
+    @pytest.mark.parametrize("text", ["0:10:1e-5", "nan:1:1", "0:10:inf"])
+    def test_range_point_count_bounded(self, text):
+        # 0:10:1e-5 has 1,000,001 points: rejected before any is allocated
+        with pytest.raises(ConfigError, match="at most 1000000 points allowed"):
+            parse_value_list(text)
+
 
 class TestSweepSpec:
     def test_rho_one_with_analytic_methods_accepted(self):
@@ -167,6 +173,15 @@ class TestCliEndToEnd:
         assert main(["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "10",
                      "--rho", "0.5", "--method", "quadrature", "--tol", "0"]) == 1
         assert capsys.readouterr().err == "bscap: rel_tol must be strictly positive\n"
+
+    def test_unbounded_range_exit_1(self, capsys):
+        # np.arange raised "Maximum allowed size exceeded" through main
+        assert main(["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "0:10:1e-300",
+                     "--rho", "0", "--method", "awgn"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "bscap: start:stop:step '0:10:1e-300': at most 1000000 points allowed\n"
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "10", "--rho", "0.5",

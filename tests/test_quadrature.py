@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from backscatter_capacity import capacity, quadrature
-from backscatter_capacity.channel_model import ChannelParams, _pdf_u
+from backscatter_capacity.channel_model import (
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
+    ChannelParams,
+    _pdf_u,
+)
 from backscatter_capacity.quadrature import (
     QuadratureResult,
     exponential_tail_cutoff,
-    gauss_legendre_rule,
     tanh_sinh,
 )
 from backscatter_capacity.special_functions import LOG2E
@@ -56,23 +60,21 @@ def test_node_budget_reported(monkeypatch):
     assert not res.converged or res.n_nodes <= 40
 
 
-def test_gauss_rule_cached_and_normalized():
-    x, w = gauss_legendre_rule(32)
-    assert x.shape == w.shape == (32,)
-    assert float(np.sum(w)) == pytest.approx(1.0, rel=1e-14, abs=0)
-    assert float(np.sum(w * x)) == pytest.approx(0.5, rel=1e-13, abs=0)
+def test_cdf_gauss_rule_normalized():
+    assert _GAUSS_NODES.shape == _GAUSS_WEIGHTS.shape == (8,)
+    assert float(np.sum(_GAUSS_WEIGHTS)) == pytest.approx(1.0, rel=1e-14, abs=0)
+    assert float(np.sum(_GAUSS_WEIGHTS * _GAUSS_NODES)) == pytest.approx(0.5, rel=1e-13, abs=0)
+    x, w = np.polynomial.legendre.leggauss(8)
+    np.testing.assert_allclose(_GAUSS_NODES, 0.5 * (x + 1.0), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_GAUSS_WEIGHTS, 0.5 * w, rtol=0, atol=1e-15)
 
 
 def test_exponential_tail_cutoff():
-    t = exponential_tail_cutoff(2.0, 0.0)
-    assert t == pytest.approx(23.0)
     # guarantees at least the requested drop relative to the peak
-    t = exponential_tail_cutoff(2.0, 3.0)
-    t_star = 1.5
-    drop = 2.0 * t - 3.0 * math.log(t / t_star) - 2.0 * t_star
+    u = exponential_tail_cutoff(3.0)
+    u_star = 3.0
+    drop = u - 3.0 * math.log(u / u_star) - u_star
     assert drop == pytest.approx(46.0, abs=0.01)
-    with pytest.raises(ValueError):
-        exponential_tail_cutoff(0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
