@@ -51,6 +51,8 @@ class ChannelParams:
             raise DomainError("gamma_bar must be positive and finite")
         if not (0.0 <= self.rho <= 1.0):
             raise DomainError("rho must lie in [0, 1]")
+        if not math.isfinite(self.tail_rate):
+            raise DomainError("gamma_bar is too small: the density's tail rate overflows")
 
     @property
     def tail_rate(self) -> float:

@@ -6,12 +6,12 @@ K0-type integrands evaluated here.  Refinement halves the trapezoidal
 step in u and reuses previous nodes; the error estimate is the change
 between consecutive levels (_halve, which the series contour shares).
 
-The ladder is evaluated in one pass: the arrays that depend on u only are
-cached for levels 0-5 (383 nodes), each call maps them onto (a, b) and
-calls the integrand once on every node, and the levels are then summed and
+The ladder is evaluated in one pass: the nodes and weights of levels 0-5
+(383 nodes) are mapped onto (a, b) once and cached per interval, each call
+evaluates the integrand once on every node, and the levels are summed and
 tested one by one as if they had been evaluated one at a time, so results
-do not depend on how far the pass reached.  Deeper levels are evaluated
-the same way, one cached table and one integrand call per level.
+do not depend on how far the pass reached.  A deeper level maps its own
+cached u-table afresh and calls the integrand once more.
 """
 
 from __future__ import annotations
@@ -112,12 +112,12 @@ def _ladder(first: int, last: int) -> tuple:
     return table
 
 
-def _level_sums(f, a: float, b: float, ladder: tuple) -> list[tuple[float, int]]:
-    """(sum of w f, node count) of each level of ladder, from one call of f.
-
-    Offsets from the endpoints are computed directly from
-    1 - tanh(t) = 2/(1 + e^{2t}) so nodes never round onto a or b.
-    """
+def _mapped(a: float, b: float, ladder: tuple) -> tuple:
+    """The read-only nodes x and weights w of ladder mapped onto (a, b),
+    without the nodes that round onto an endpoint or carry no weight, and
+    the count of nodes kept before each segment bound.  Offsets from the
+    endpoints are computed directly from 1 - tanh(t) = 2/(1 + e^{2t}) so
+    nodes never round onto a or b."""
     pos, et, onep, cosh_u, sech2, bounds = ladder
     half = 0.5 * (b - a)
     # distance from the nearer endpoint, exact for large |t|
@@ -125,15 +125,28 @@ def _level_sums(f, a: float, b: float, ladder: tuple) -> list[tuple[float, int]]
     x = np.where(pos, b - delta, a + delta)
     w = half * _HALF_PI * cosh_u * sech2
     keep = (delta > 0) & (w > 0)
-    wf = w[keep] * f(x[keep])
-    kept = np.concatenate(([0], np.cumsum(keep)))[bounds]  # kept before each bound
+    x, w = x[keep], w[keep]
+    x.flags.writeable = w.flags.writeable = False
+    return x, w, np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
+
+
+@lru_cache(maxsize=16)
+def _mapped_ladder(a: float, b: float) -> tuple:
+    """_mapped for levels 0.._LADDER_DEPTH, shared per (a, b)."""
+    return _mapped(a, b, _ladder(0, _LADDER_DEPTH))
+
+
+def _level_sums(f, mapped: tuple) -> list[tuple[float, int]]:
+    """(sum of w f, node count) of each level of mapped, from one call of f."""
+    x, w, kept = mapped
+    wf = w * f(x)
     sums = []
-    for seg in range(0, len(bounds) - 1, 2):
+    for seg in range(0, len(kept) - 1, 2):
         total = 0.0
         for lo, hi in zip(kept[seg:seg + 2], kept[seg + 1:seg + 3]):  # t >= 0 first
             if hi > lo:
-                total += float(np.sum(wf[lo:hi]))
-        sums.append((total, int(kept[seg + 2] - kept[seg])))
+                total += float(np.add.reduce(wf[lo:hi]))
+        sums.append((total, kept[seg + 2] - kept[seg]))
     return sums
 
 
@@ -151,8 +164,9 @@ def tanh_sinh(
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("finite interval with a < b required")
-    return QuadratureResult(*_halve(_level_sums(f, a, b, _ladder(0, _LADDER_DEPTH)),
-                                    lambda k: _level_sums(f, a, b, _ladder(k, k)), 1.0, rel_tol, 2))
+    return QuadratureResult(*_halve(_level_sums(f, _mapped_ladder(a, b)),
+                                    lambda k: _level_sums(f, _mapped(a, b, _ladder(k, k))),
+                                    1.0, rel_tol, 2))
 
 
 def exponential_tail_cutoff(poly_power: float) -> float:

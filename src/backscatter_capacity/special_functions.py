@@ -18,6 +18,7 @@ series above.  Both are within 1e-15 relative of mpmath on [1e-8, 1e6]
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -378,14 +379,34 @@ _MB_CONTOUR_MARGIN = 4.0
 _MB_DEPTH = 2
 
 
-def _mb_kernel(s: np.ndarray, z: float) -> np.ndarray:
-    """Gamma(s)^2 Gamma(1+s) Gamma(1-s) z^{-s}, the Mellin-Barnes kernel of
-    G^{3,1}_{1,3}[z | 0; 0,0,1], as pi Gamma(1+s)^2 z^{-s} / (s sin(pi s))
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # poles give inf or nan
+def _mb_shape(s: np.ndarray) -> np.ndarray:
+    """Gamma(s)^2 Gamma(1+s) Gamma(1-s), the z-free part of the Mellin-Barnes
+    kernel of G^{3,1}_{1,3}[z | 0; 0,0,1], as pi Gamma(1+s)^2 / (s sin(pi s))
     by reflection and recurrence (DLMF 5.5.3, 5.5.1).  The one log-gamma,
     _lanczos_right(1+s), needs Re(1+s) >= 1/2, so the form is valid for
     Re s >= -1/2 off the integers, where the kernel has its poles."""
-    return math.pi * np.exp(2.0 * _lanczos_right(1.0 + s) - s * math.log(z)) \
-        / (s * np.sin(math.pi * s))
+    return math.pi * np.exp(2.0 * _lanczos_right(1.0 + s)) / (s * np.sin(math.pi * s))
+
+
+def _mb_kernel(s: np.ndarray, z: float) -> np.ndarray:
+    """The Mellin-Barnes kernel _mb_shape(s) z^{-s}."""
+    return _mb_shape(s) * np.exp(-s * math.log(z))
+
+
+@lru_cache(maxsize=16)
+def _mb_first_pass(c: float, T: float) -> tuple:
+    """(h, s, shape, pieces) of a contour's first factor call on Re s = c:
+    step h of level 0, the nodes s of levels 0.._MB_DEPTH in level order
+    followed by the tail node c + iT, _mb_shape(s), and the slices that
+    cut s into levels and tail.  s and shape are read-only."""
+    h = min(0.5, T / 64.0)
+    nodes = _level_nodes(h, T, 0, _MB_DEPTH)
+    s = c + 1j * np.concatenate(nodes + [np.array([T])])
+    shape = _mb_shape(s)
+    s.flags.writeable = shape.flags.writeable = False
+    ends = np.cumsum([t.size for t in nodes] + [1]).tolist()
+    return h, s, shape, tuple(slice(lo, hi) for lo, hi in zip([0] + ends, ends))
 
 
 def mellin_barnes_integral(c: float, z: float, factor, rel_tol: float = REL_TOL):
@@ -401,29 +422,33 @@ def mellin_barnes_integral(c: float, z: float, factor, rel_tol: float = REL_TOL)
 
     The trapezoid rule on [0, T] halves its step until two levels agree.
     The nodes of levels 0.._MB_DEPTH and the tail node T go to factor in one
-    call; the sums and tests then read slices of it in level order.  A
-    level past _MB_DEPTH calls factor on its own odd nodes.
+    call; the sums and tests then read slices of it in level order.  Those
+    nodes and the kernel's z-free part on them are cached per (c, T), so a
+    further z costs one z^{-s} pass.  A level past _MB_DEPTH calls factor
+    on its own odd nodes.
     """
     T = (-math.log(_check_rel_tol(rel_tol) * 1e-3)) / _MB_DECAY_RATE + _MB_CONTOUR_MARGIN
+    log_z = math.log(z)
 
-    def g(t):
-        s = c + 1j * t
+    def g(s, shape):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = _mb_kernel(s, z) * factor(s)
+            vals = shape * np.exp(-s * log_z) * factor(s)
         return np.where(np.isfinite(vals), vals, 0.0).real
 
     def more(level):  # the odd nodes of a level, in the current attempt's [0, T]
-        odd = vals[level] if level <= _MB_DEPTH else g(_level_nodes(h, T, level, level)[0])
-        return [(float(np.sum(odd)), odd.size)]
+        if level <= _MB_DEPTH:
+            odd = vals[level]
+        else:
+            s = c + 1j * _level_nodes(h, T, level, level)[0]
+            odd = g(s, _mb_shape(s))
+        return [(float(np.add.reduce(odd)), odd.size)]
 
     for _attempt in range(4):
-        h = min(0.5, T / 64.0)
-        nodes = _level_nodes(h, T, 0, _MB_DEPTH)
-        # one piece per level, then the tail node
-        vals = np.split(g(np.concatenate(nodes + [np.array([T])])),
-                        np.cumsum([t.size for t in nodes]))
+        h, s, shape, pieces = _mb_first_pass(c, T)
+        first = g(s, shape)
+        vals = [first[piece] for piece in pieces]  # one per level, then the tail node
         value, err, n_nodes, _, converged = _halve(
-            [(float(vals[0][0]) * 0.5 + float(np.sum(vals[0][1:])), vals[0].size)],
+            [(float(vals[0][0]) * 0.5 + float(np.add.reduce(vals[0][1:])), vals[0].size)],
             more, h / math.pi, rel_tol, 1)
         if not converged:
             raise ConvergenceError(

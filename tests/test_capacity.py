@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from backscatter_capacity import capacity, quadrature, validation
+from backscatter_capacity import capacity, quadrature, special_functions, validation
 from backscatter_capacity.capacity import (
     _SERIES_SWITCH_RHO,
     capacity_awgn,
@@ -314,13 +314,16 @@ class TestSeries:
         assert capacity._contour_factor.cache_info().currsize == 1
 
     def test_threads_share_factor_cache(self):
-        # points of one rho race on one cache entry; each still returns its
+        # points of one rho race on one cache entry of the factor, and of
+        # the kernel's z-free part on their contour; each still returns its
         # serial estimate
         points = [ChannelParams(10.0 ** (d / 10.0), rho)
                   for rho in (0.3, 0.9) for d in (-10, 5, 20, 35)]
         capacity._contour_factor.cache_clear()
+        special_functions._mb_first_pass.cache_clear()
         serial = [capacity_series(p) for p in points]
         capacity._contour_factor.cache_clear()
+        special_functions._mb_first_pass.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

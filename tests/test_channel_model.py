@@ -12,6 +12,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backscatter_capacity.capacity import capacity_quadrature, capacity_series
 from backscatter_capacity.channel_model import (
     FIXED_POWER_BUDGET,
     FIXED_RECEIVER_SNR,
@@ -86,6 +87,17 @@ class TestParams:
             ChannelParams(1.0, -0.1)
         with pytest.raises(DomainError):
             Parameterization(FIXED_RECEIVER_SNR, db_to_linear(0.0), 1.2).channel_params()
+
+    @pytest.mark.parametrize("route", ["pdf", "cdf", "capacity_quadrature", "capacity_series"])
+    def test_tail_rate_overflow_names_gamma_bar(self, route):
+        # at gamma_bar = 1e-310 the tail rate overflows to inf: both capacity
+        # routes returned 0 with error bound 0 and cdf blamed a Bessel kernel
+        run = {"pdf": lambda p: pdf(p, 1.0), "cdf": lambda p: cdf(p, 1.0),
+               "capacity_quadrature": capacity_quadrature,
+               "capacity_series": capacity_series}[route]
+        with pytest.raises(DomainError, match="gamma_bar"):
+            run(ChannelParams(1e-310, 0.5))
+        assert math.isfinite(ChannelParams(1e-307, 0.5).tail_rate)
 
 
 class TestPdf:

@@ -284,6 +284,15 @@ class TestCliEndToEnd:
             quad, series = (float(r[5]) for r in rows if r[2] == snr)
             assert series == pytest.approx(quad, rel=1e-9)
 
+    def test_sweep_tail_rate_overflow_exit_1(self, tmp_path, capsys):
+        # -3100 dB is gamma_bar = 1e-310, whose tail rate overflows
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "-3100",
+                     "--rho", "0.5", "--method", "quadrature,series",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "gamma_bar" in capsys.readouterr().err
+
     def test_convergence_error_exit_2(self, monkeypatch, tmp_path, capsys):
         def boom(*a, **k):
             raise ConvergenceError("no convergence", {

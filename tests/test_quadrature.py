@@ -167,6 +167,48 @@ def test_ladder_beyond_cached_depth(monkeypatch):
             repr(_reference_tanh_sinh(peak, 0.0, 1.0, max_nodes=max_nodes))
 
 
+def _narrow_peak(x):
+    return 1.0 / (1.0 + 1e4 * (x - 0.37) ** 2)
+
+
+def test_mapped_ladder_cold_equals_warm():
+    # three integrands on two intervals, called in turn: each result is what
+    # an empty cache of mapped ladders gives, and the cached arrays are
+    # read-only
+    cases = [(lambda x: -np.log(x), 0.0, 1.0), (lambda x: np.exp(-x), 0.0, 60.0),
+             (_narrow_peak, 0.0, 1.0)]
+    cold = []
+    for f, a, b in cases:
+        quadrature._mapped_ladder.cache_clear()
+        cold.append(repr(tanh_sinh(f, a, b)))
+    quadrature._mapped_ladder.cache_clear()
+    for _ in range(3):
+        assert [repr(tanh_sinh(f, a, b)) for f, a, b in cases] == cold
+    assert quadrature._mapped_ladder.cache_info().currsize == 2
+    x, w, _ = quadrature._mapped_ladder(0.0, 60.0)
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_deep_levels_are_mapped_afresh(monkeypatch):
+    # with levels 0-5 mapped onto (0, 1) already, a warm call maps only the
+    # levels past 5, one _ladder(k, k) each, and caches none of them
+    quadrature._mapped_ladder.cache_clear()
+    cold = tanh_sinh(_narrow_peak, 0.0, 1.0)
+    seen = []
+    real = quadrature._ladder
+
+    def spy(first, last):
+        seen.append((first, last))
+        return real(first, last)
+
+    monkeypatch.setattr(quadrature, "_ladder", spy)
+    warm = tanh_sinh(_narrow_peak, 0.0, 1.0)
+    assert warm.levels > 5
+    assert seen == [(k, k) for k in range(6, warm.levels + 1)]
+    assert repr(warm) == repr(cold)
+    assert quadrature._mapped_ladder.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.9999, 1.0])
 def test_ladder_bit_identical_on_capacity_integrand(rho):
     for snr_db in range(-60, 121, 10):

@@ -389,7 +389,9 @@ class TestMeijerG:
         t = np.linspace(-30.0, 30.0, 61)
         for c in (0.4, 0.5):
             s = c + 1j * t
-            for z in (1e-6, 1.0, 1e6):
+            # z = 1e-12 and 1e12 (+-120 dB) move exp(2 ln Gamma) and z^{-s}
+            # furthest apart, where the split form rounds most
+            for z in (1e-12, 1e-6, 1.0, 1e6, 1e12):
                 with mpmath.workdps(30):
                     ref = np.array([complex(mpmath.gamma(k) ** 2 * mpmath.gamma(1 + k)
                                             * mpmath.gamma(1 - k) * mpmath.power(z, -k))
@@ -425,6 +427,37 @@ class TestMeijerG:
             for i in range(len(t) - 1):
                 ratio = mags[i + 1] / mags[i]
                 assert ratio <= math.exp(-2.0 * math.pi * (t[i + 1] - t[i]) * 0.9)
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    def test_warm_contour_skips_log_gamma(self, monkeypatch, rho, rel_tol):
+        # the kernel's z-free part is cached per contour: a second SNR on a
+        # cached (c, rel_tol) computes no log-gamma and returns what a cold
+        # cache returns
+        special_functions._mb_first_pass.cache_clear()
+        cold = capacity.capacity_series(ChannelParams(1e3, rho), rel_tol)
+        special_functions._mb_first_pass.cache_clear()
+        capacity.capacity_series(ChannelParams(10.0, rho), rel_tol)
+        calls = []
+        real = special_functions._lanczos_right
+
+        def spy(z):
+            calls.append(z.size)
+            return real(z)
+
+        monkeypatch.setattr(special_functions, "_lanczos_right", spy)
+        warm = capacity.capacity_series(ChannelParams(1e3, rho), rel_tol)
+        assert calls == []
+        assert warm == cold
+
+    def test_cached_contour_is_read_only(self):
+        special_functions._mb_first_pass.cache_clear()
+        h, s, shape, _ = special_functions._mb_first_pass(0.5, 8.8)
+        assert special_functions._mb_first_pass(0.5, 8.8)[2] is shape
+        assert (h, s.size, shape.size) == (8.8 / 64.0, 257, 257)
+        assert not s.flags.writeable and not shape.flags.writeable
+        with pytest.raises(ValueError):
+            shape[0] = 0.0
 
     @pytest.mark.parametrize("tol, message", [
         (0.0, "strictly positive"),
