@@ -115,7 +115,7 @@ def capacity_quadrature(params: ChannelParams, rel_tol: float = REL_TOL) -> Capa
 @_memo_per_rho
 def _contour_factor(rho: float, s: np.ndarray) -> tuple:
     """(log2(e) 2F1(-s, -s; 1; rho), terms summed) on the complex nodes s.
-    The block-summed 2F1's term count is set by its slowest node."""
+    The 2F1's term count is set by its slowest node."""
     value, n = _hyp2f1_near_one(s, rho) if rho > _SERIES_SWITCH_RHO \
         else _hyp2f1_series(-s, 1.0, rho)
     return LOG2E * value, n

@@ -46,6 +46,7 @@ PDF_CSV_HEADER = "rho,snr_db,gamma_bar_linear,gamma,density"
 
 DEFAULT_FIGURE_MC = McConfig(n_samples=1_000_000, seed=12345, n_batches=100)
 _MAX_LIST_POINTS = 1_000_000  # points of one start:stop:step list, checked before _grid
+_MAX_THREADS = 64  # --threads: the point pool starts up to this many OS threads
 
 
 @dataclass(frozen=True)
@@ -351,8 +352,8 @@ def _mc_from_args(args, base: McConfig | None = None) -> McConfig:
 
 
 def _threads_from_args(args) -> int:
-    if args.threads < 1:
-        raise ConfigError("--threads must be at least 1")
+    if not 1 <= args.threads <= _MAX_THREADS:
+        raise ConfigError(f"--threads must be between 1 and {_MAX_THREADS}")
     return args.threads
 
 
@@ -390,7 +391,7 @@ def build_parser() -> _Parser:
         p.add_argument("--tol", type=float, default=REL_TOL,
                        help="relative tolerance of quadrature/series, in [100 eps, 1)")
         p.add_argument("--threads", type=int, default=1,
-                       help="evaluate points in parallel, at least 1 (results unchanged)")
+                       help=f"evaluate points in parallel, 1 to {_MAX_THREADS} (results unchanged)")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo estimate at given points")
     p_mc.add_argument("--mode", choices=MODES, default=FIXED_RECEIVER_SNR)

@@ -258,38 +258,24 @@ def hyp2f1_neg_int(k: int, rho: float) -> float:
 # Only the capacity series' contour sums it, in powers of rho up to 0.6 and
 # of 1 - rho above: at most 118 terms over -100...120 dB.
 _HYP2F1_MAX_TERMS = 10_000
-# terms per block of _hyp2f1_series: the direct path needs 1-110 per call
-_HYP2F1_BLOCK = 16
 
 
 def _hyp2f1_series(a: np.ndarray, c, z: float):
     """(2F1(a, a; c; z), terms summed) by the power series, for 0 <= z < 1
     and real or complex a and c of any shape.
 
-    Terms are summed in blocks of _HYP2F1_BLOCK: the term ratios of a block
-    come from one broadcast, its terms and partial sums go into block rows,
-    so memory does not grow with the term count.  Terms may grow while m is
-    below |a|, so the stopping rule waits until m has passed it; the sum
-    returned is the partial sum at the first m of the block that meets it.
+    One term ratio, one add and one stopping test per term.  Terms may grow
+    while m is below |a|, so the stopping rule waits until m has passed it.
     """
     total = term = np.ones(a.shape, np.result_type(a, c, float))
     if z == 0.0:
         return total, 1
     a_abs = float(np.max(np.abs(a)))
-    terms = np.empty((_HYP2F1_BLOCK,) + a.shape, total.dtype)
-    totals = np.empty_like(terms)
-    for m0 in range(0, _HYP2F1_MAX_TERMS, _HYP2F1_BLOCK):
-        m = np.arange(m0, min(m0 + _HYP2F1_BLOCK, _HYP2F1_MAX_TERMS), dtype=float)
-        mb = m.reshape(m.shape + (1,) * a.ndim)
-        ratio = z * (mb + a) ** 2 / ((mb + c) * (mb + 1.0))
-        for j in range(m.size):
-            term = np.multiply(term, ratio[j, ...], out=terms[j, ...])
-            total = np.add(total, term, out=totals[j, ...])
-        done = np.abs(terms[:m.size]) < 1e-17 * np.abs(totals[:m.size])
-        stop = np.flatnonzero((m > a_abs) & done.reshape(m.size, -1).all(axis=1))
-        if stop.size:
-            j = int(stop[0])
-            return totals[j].copy(), m0 + j + 2
+    for m in range(_HYP2F1_MAX_TERMS):
+        term = term * (z * (m + a) ** 2 / ((m + c) * (m + 1.0)))
+        total = total + term
+        if m > a_abs and np.all(np.abs(term) < 1e-17 * np.abs(total)):
+            return total, m + 2
     raise ConvergenceError("2F1 power series did not converge",
                            {"a_abs": a_abs, "z": z, "terms": _HYP2F1_MAX_TERMS})
 
@@ -369,7 +355,7 @@ def exp_integral_e1_scaled(x: float) -> float:
 # the capacity series' Mellin-Barnes integral
 # ----------------------------------------------------------------------
 
-# |_mb_kernel(c + it, z)| decays like exp(-2 pi |t|); this sets the truncation
+# |_mb_shape(s) z^{-s}| decays like exp(-2 pi |Im s|): it sets the truncation
 _MB_DECAY_RATE = 2.0 * math.pi
 # added to the contour's decay length: at rel_tol = 1e-10 the contour ends at
 # |Im s| = 8.8, where _hyp2f1_series has lost no more than 1e-11 (rho <= 0.6)
@@ -389,11 +375,6 @@ def _mb_shape(s: np.ndarray) -> np.ndarray:
     return math.pi * np.exp(2.0 * _lanczos_right(1.0 + s)) / (s * np.sin(math.pi * s))
 
 
-def _mb_kernel(s: np.ndarray, z: float) -> np.ndarray:
-    """The Mellin-Barnes kernel _mb_shape(s) z^{-s}."""
-    return _mb_shape(s) * np.exp(-s * math.log(z))
-
-
 @lru_cache(maxsize=16)
 def _mb_first_pass(c: float, T: float) -> tuple:
     """(h, s, shape, pieces) of a contour's first factor call on Re s = c:
@@ -411,7 +392,7 @@ def _mb_first_pass(c: float, T: float) -> tuple:
 
 def mellin_barnes_integral(c: float, z: float, factor, rel_tol: float = REL_TOL):
     """(value, error_estimate, n_nodes) of
-    1/(2 pi i) * Int _mb_kernel(s, z) factor(s) ds along Re s = c, with
+    1/(2 pi i) * Int _mb_shape(s) z^{-s} factor(s) ds along Re s = c, with
     z > 0, exploiting the conjugate symmetry of the kernel.  Any c at which
     both the kernel and the factor are valid will do: for the kernel that
     is c >= -1/2, c not an integer.

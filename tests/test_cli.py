@@ -203,11 +203,16 @@ class TestCliEndToEnd:
          "--method", "awgn"],
         ["figure", "--figure", "1", "--samples", "20000"],
     ], ids=["sweep", "figure"])
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_exit_1(self, argv, threads, capsys):
+    @pytest.mark.parametrize("threads", ["0", "-3", "65", "1000000"])
+    def test_threads_below_one_exit_1(self, argv, threads, capsys, monkeypatch):
+        # also above cli._MAX_THREADS: rejected before any pool is built
+        def no_pool(*args, **kwargs):
+            raise AssertionError("ThreadPoolExecutor constructed")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
         assert main(argv + ["--threads", threads]) == 1
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "bscap: --threads must be at least 1\n")
+        assert (captured.out, captured.err) == ("", "bscap: --threads must be between 1 and 64\n")
 
     def test_byte_identical_repeats_with_mc(self, tmp_path):
         args = ["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "0,5",

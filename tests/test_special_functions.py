@@ -6,6 +6,7 @@ routines serve as a second opinion in the scan tests.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,88 +238,64 @@ class TestHyp2f1:
             hyp2f1_neg_int(2, 1.5)
 
 
-def _reference_hyp2f1_series(a, c, z):
-    """Term by term: one ratio and one stopping test per term."""
-    total = term = np.ones(a.shape, np.result_type(a, c, float))
-    if z == 0.0:
-        return total, 1
-    a_abs = float(np.max(np.abs(a)))
-    for m in range(special_functions._HYP2F1_MAX_TERMS):
-        term = term * (z * (m + a) ** 2 / ((m + c) * (m + 1.0)))
-        total = total + term
-        if m > a_abs and np.all(np.abs(term) < 1e-17 * np.abs(total)):
-            return total, m + 2
-    raise ConvergenceError("2F1 power series did not converge",
-                           {"a_abs": a_abs, "z": z,
-                            "terms": special_functions._HYP2F1_MAX_TERMS})
-
-
-def _same_sum(got, want):
-    """Equal bits, dtype, shape and term count."""
-    (g, gn), (w, wn) = got, want
-    return (type(g), g.dtype, g.shape, g.tobytes(), type(gn), gn) == \
-        (type(w), w.dtype, w.shape, w.tobytes(), type(wn), wn)
-
-
-# z on which every order set below stops at each of m = 14 ... 17, on both
-# sides of the first block boundary (m = 16)
-_STOP_Z = np.linspace(0.02, 0.25, 47)
+# the term counts of the connection path's two series on
+# s = 0.4 + it, 0 <= t <= 9: terms_used of the series at these rho
+_NEAR_ONE_TERMS = {0.61: (41, 42), 0.9: (19, 19), 0.99: (12, 12), 0.9999: (12, 12)}
 
 
 class TestHyp2f1Blocks:
-    """The block-summed series against the term-by-term loop it replaced."""
-
-    def test_real_0d_orders_across_the_block_boundary(self):
-        stops = set()
-        for k in (0.5, 0.1, 0.7):
-            for z in _STOP_Z:
-                got = _hyp2f1_series(np.asarray(-k), 1.0, float(z))
-                want = _reference_hyp2f1_series(np.asarray(-k), 1.0, float(z))
-                assert _same_sum(got, want), (k, z)
-                stops.add(want[1] - 2)
-        assert {14, 15, 16, 17} <= stops
+    """_hyp2f1_series, the power series that both contour-factor paths sum,
+    term by term: values against mpmath, term counts, the stopping rule,
+    the term cap, shapes and memory."""
 
     def test_complex_orders_scalar_c(self):
-        # the direct path of capacity_series: 2F1(-s, -s; 1; rho)
+        # the direct path of capacity_series: 2F1(-s, -s; 1; rho), which
+        # loses digits towards the end of the contour at rho = 0.6
+        mpmath = pytest.importorskip("mpmath")
         s = 0.5 + 1j * np.linspace(0.0, 9.0, 24)
-        stops = set()
-        for z in list(_STOP_Z) + [0.3, 0.6]:
-            want = _reference_hyp2f1_series(-s, 1.0, float(z))
-            assert _same_sum(_hyp2f1_series(-s, 1.0, float(z)), want), z
-            stops.add(want[1] - 2)
-        assert {14, 15, 16, 17} <= stops
+        for z, terms, rel in ((0.3, 50, 1e-12), (0.6, 112, 1e-10)):
+            got, n = _hyp2f1_series(-s, 1.0, z)
+            ref = np.array([complex(mpmath.hyp2f1(-k, -k, 1, z)) for k in s])
+            assert n == terms
+            assert np.all(np.abs(got - ref) <= rel * np.abs(ref)), z
 
-    @pytest.mark.parametrize("rho", [0.61, 0.9, 0.99, 0.9999])
+    @pytest.mark.parametrize("rho", sorted(_NEAR_ONE_TERMS))
     def test_complex_orders_array_c(self, rho):
-        # the connection path: both series of _hyp2f1_near_one
+        # the connection path: both series of _hyp2f1_near_one, in 1 - rho
+        mpmath = pytest.importorskip("mpmath")
         s = 0.4 + 1j * np.linspace(0.0, 9.0, 24)
         w = 1.0 - rho
-        for a, c in ((-s, -2.0 * s), (1.0 + s, 2.0 + 2.0 * s)):
-            assert _same_sum(_hyp2f1_series(a, c, w), _reference_hyp2f1_series(a, c, w))
-
-    def test_complex_orders_array_c_across_the_block_boundary(self):
-        s = 0.4 + 1j * np.linspace(0.0, 0.5, 6)  # |a| small: early stops
-        stops = set()
-        for z in _STOP_Z:
-            for a, c in ((-s, -2.0 * s), (1.0 + s, 2.0 + 2.0 * s)):
-                want = _reference_hyp2f1_series(a, c, float(z))
-                assert _same_sum(_hyp2f1_series(a, c, float(z)), want), z
-                stops.add(want[1] - 2)
-        assert {14, 15, 16, 17} <= stops
+        for (a, c), terms in zip(((-s, -2.0 * s), (1.0 + s, 2.0 + 2.0 * s)),
+                                 _NEAR_ONE_TERMS[rho]):
+            got, n = _hyp2f1_series(a, c, w)
+            with mpmath.workdps(30):
+                ref = np.array([complex(mpmath.hyp2f1(x, x, y, w)) for x, y in zip(a, c)])
+            assert n == terms
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
     def test_2d_orders(self):
-        s = (0.5 + 1j * np.linspace(-4.0, 4.0, 15)).reshape(3, 5)
-        for z in (0.0, 0.13, 0.2, 0.5):
-            assert _same_sum(_hyp2f1_series(-s, 1.0, z), _reference_hyp2f1_series(-s, 1.0, z))
-        assert _same_sum(_hyp2f1_series(-s.real, 1.0, 0.4),
-                         _reference_hyp2f1_series(-s.real, 1.0, 0.4))
+        # orders of any shape: 2-D orders give the 1-D sums reshaped, a 0-d
+        # order a scalar, and z = 0 returns ones after one term
+        mpmath = pytest.importorskip("mpmath")
+        s = 0.5 + 1j * np.linspace(-4.0, 4.0, 15)
+        for a in (-s, -s.real):
+            for z in (0.13, 0.2, 0.5):
+                flat, n = _hyp2f1_series(a, 1.0, z)
+                grid, m = _hyp2f1_series(a.reshape(3, 5), 1.0, z)
+                assert (grid.shape, grid.dtype, m) == ((3, 5), flat.dtype, n)
+                assert grid.tobytes() == flat.tobytes()
+        value, _ = _hyp2f1_series(np.asarray(-0.5), 1.0, 0.4)
+        assert np.ndim(value) == 0
+        assert abs(value - float(mpmath.hyp2f1(-0.5, -0.5, 1, 0.4))) <= 1e-15 * value
+        for a in (-s.reshape(3, 5), np.asarray(-0.5)):
+            total, n = _hyp2f1_series(a, 1.0, 0.0)
+            assert (n, total.shape) == (1, a.shape) and np.all(total == 1.0)
 
     def test_stop_waits_until_m_passes_abs_a(self):
         # |a| = 5 exactly and every term negligible: the first stop is m = 6
         for a in (np.array([-3.0 - 4.0j, 0.5]), np.asarray(-5.0)):
             got = _hyp2f1_series(a, 1.0, 1e-30)
-            assert _same_sum(got, _reference_hyp2f1_series(a, 1.0, 1e-30))
-            assert got[1] == 8
+            assert got[1] == 8 and np.all(np.abs(got[0] - 1.0) < 1e-28)
 
     @pytest.mark.parametrize("cap", [1, 5, 16, 17, 18, 33])
     def test_term_cap(self, monkeypatch, cap):
@@ -326,16 +303,24 @@ class TestHyp2f1Blocks:
         # 18 or 33 terms, not within 17 or fewer
         monkeypatch.setattr(special_functions, "_HYP2F1_MAX_TERMS", cap)
         a = np.asarray(-0.5)
+        if cap > 17:
+            assert _hyp2f1_series(a, 1.0, 0.2)[1] == 19
+            return
+        with pytest.raises(ConvergenceError, match="2F1 power series did not converge") as got:
+            _hyp2f1_series(a, 1.0, 0.2)
+        assert got.value.diagnostics == {"a_abs": 0.5, "z": 0.2, "terms": cap}
+
+    def test_peak_memory_on_a_deep_contour_level(self):
+        # 131,072 nodes, as on the deepest level of a 1e-13 contour: the sum
+        # holds a few node arrays at a time, however many terms it takes
+        a = -(0.5 + 1j * np.linspace(0.0, 8.8, 131_072))
+        tracemalloc.start()
         try:
-            want = _reference_hyp2f1_series(a, 1.0, 0.2)
-        except ConvergenceError as exc:
-            with pytest.raises(ConvergenceError) as got:
-                _hyp2f1_series(a, 1.0, 0.2)
-            assert (str(got.value), got.value.diagnostics) == (str(exc), exc.diagnostics)
-            assert cap <= 17
-        else:
-            assert _same_sum(_hyp2f1_series(a, 1.0, 0.2), want)
-            assert cap > 17
+            _hyp2f1_series(a, 1.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * a.nbytes
 
 
 class TestExpIntegral:
@@ -384,7 +369,6 @@ class TestMeijerG:
     form, and its integral along vertical contours."""
 
     def test_kernel_against_mpmath(self):
-        from backscatter_capacity.special_functions import _mb_kernel
         mpmath = pytest.importorskip("mpmath")
         t = np.linspace(-30.0, 30.0, 61)
         for c in (0.4, 0.5):
@@ -419,7 +403,7 @@ class TestMeijerG:
 
     def test_integrand_decay_bound(self):
         # the kernel decays like exp(-2 pi |t|) along both series contours
-        from backscatter_capacity.special_functions import _MB_DECAY_RATE, _mb_kernel
+        from backscatter_capacity.special_functions import _MB_DECAY_RATE
         assert _MB_DECAY_RATE == pytest.approx(2.0 * math.pi)
         t = np.array([2.0, 4.0, 6.0])
         for c in (0.4, 0.5):
@@ -478,6 +462,11 @@ class TestMeijerG:
         assert math.isfinite(_TOL_ROUTES[route](2.3e-14))
 
 
+def _mb_kernel(s, z):
+    """The Mellin-Barnes kernel _mb_shape(s) z^{-s}, as one array."""
+    return special_functions._mb_shape(s) * np.exp(-s * math.log(z))
+
+
 def _reference_mellin_barnes(c, z, factor, rel_tol=quadrature.REL_TOL):
     """Level by level: one factor call per trapezoid level, one for the tail."""
     T = (-math.log(rel_tol * 1e-3)) / special_functions._MB_DECAY_RATE \
@@ -486,7 +475,7 @@ def _reference_mellin_barnes(c, z, factor, rel_tol=quadrature.REL_TOL):
     def g(t):
         s = c + 1j * t
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = special_functions._mb_kernel(s, z) * factor(s)
+            vals = _mb_kernel(s, z) * factor(s)
         return np.where(np.isfinite(vals), vals, 0.0).real
 
     for _attempt in range(4):
