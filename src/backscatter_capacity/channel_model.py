@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .quadrature import exponential_tail_cutoff, tanh_sinh
 from .special_functions import (
+    _BESSEL_CHUNK,
     EULER_GAMMA,
     bessel_i0_scaled,
     bessel_k0_scaled,
@@ -101,10 +102,26 @@ def pdf(params: ChannelParams, gamma):
     if np.any(g <= 0) or not np.all(np.isfinite(g)):
         raise DomainError("pdf requires finite gamma > 0")
     rate = params.tail_rate
-    u = np.sqrt(np.atleast_1d(g))
-    u *= rate  # in place: one array of the grid's size stays alive, not two
-    vals = _pdf_u(params.rho, u, 0.5 * rate * rate) / u
-    return float(vals[0]) if g.ndim == 0 else vals
+    scale = 0.5 * rate * rate
+
+    def density(block):
+        u = np.sqrt(block)
+        u *= rate
+        return _pdf_u(params.rho, u, scale) / u
+
+    vals = _blockwise(density, g)
+    return float(vals) if g.ndim == 0 else vals
+
+
+def _blockwise(f, x: np.ndarray) -> np.ndarray:
+    """The elementwise map f over x, of any shape, evaluated on flat
+    blocks of _BESSEL_CHUNK elements: only the result is x-sized.  Each
+    element meets the same operations as in f(x), so the bits match it."""
+    out = np.empty(x.shape)
+    flat = out.reshape(-1)
+    for lo in range(0, x.size, _BESSEL_CHUNK):
+        flat[lo:lo + _BESSEL_CHUNK] = f(x.flat[lo:lo + _BESSEL_CHUNK])
+    return out
 
 
 def _pdf_u(rho: float, u: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -155,7 +172,10 @@ def cdf(params: ChannelParams, gamma):
     u = np.minimum(params.tail_rate * np.sqrt(g.ravel()), _U_MAX)
     edges, where = np.unique(np.concatenate([[0.0], _CDF_LADDER, u]), return_inverse=True)
     lo, width = edges[:-1], np.diff(edges)
-    vals = _pdf_u(params.rho, lo[:, None] + width[:, None] * _GAUSS_NODES)
+    # in blocks; the weighted sum and the running sum stay whole, so BLAS
+    # and cumsum see the same arrays and give the same bits
+    vals = _blockwise(lambda x: _pdf_u(params.rho, x),
+                      lo[:, None] + width[:, None] * _GAUSS_NODES)
     mass = np.concatenate([[0.0], np.cumsum((vals @ _GAUSS_WEIGHTS) * width)])
     # the query points follow u = 0 and the ladder in the concatenation
     out = np.minimum(mass[where[1 + _CDF_LADDER.size:]], 1.0)

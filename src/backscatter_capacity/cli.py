@@ -2,8 +2,9 @@
 runs, density tabulation and the validation suites.
 
 Output is data only (CSV or JSON); identical invocations produce
-byte-identical files.  Exit codes: 0 success, 1 usage/validation error,
-2 numerical failure or failed validation suite.
+byte-identical files.  Exit codes: 0 success, 1 usage/validation error
+or an allocation that cannot be met, 2 numerical failure or failed
+validation suite.
 """
 
 from __future__ import annotations
@@ -537,6 +538,10 @@ def main(argv=None) -> int:
         print(json.dumps({k: _json_scalar(v) for k, v in exc.diagnostics.items()},
                          sort_keys=True), file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the size it could not get
+        print(f"bscap: out of memory: {exc or 'allocation failed'}; "
+              "lower --samples or raise --batches", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -201,27 +201,50 @@ def estimate_moment(param: Parameterization, k: int, config: McConfig) -> McResu
     return McResult(estimate, se, config.n_samples, config.seed, means)
 
 
-def _draw_all(param: Parameterization, config: McConfig) -> np.ndarray:
-    scale = param.snr_budget
+def _draw_into(rho: float, config: McConfig, write) -> np.ndarray:
+    """One value per sample, batch after batch: write(g_f, g_b, out) puts
+    a batch's values into its slice `out` of the one result array."""
     buf = np.empty((4, max(config.batch_sizes())))
-    pairs = (_draw_pairs(rng, param.rho, size, buf)
-             for rng, size in _substreams(config))
-    return np.concatenate([scale * g_f * g_b for g_f, g_b in pairs])
+    vals = np.empty(config.n_samples)
+    lo = 0
+    for rng, size in _substreams(config):
+        write(*_draw_pairs(rng, rho, size, buf), vals[lo:lo + size])
+        lo += size
+    return vals
+
+
+def _draw_all(param: Parameterization, config: McConfig) -> np.ndarray:
+    """Every sampled gamma, (scale g_f) g_b."""
+    scale = param.snr_budget
+
+    def product(g_f, g_b, out):
+        np.multiply(scale, g_f, out=out)
+        np.multiply(out, g_b, out=out)
+
+    return _draw_into(param.rho, config, product)
 
 
 def _ks_statistic(sorted_cdf_values: np.ndarray) -> float:
+    """max over i of i/n - F_i and F_i - (i-1)/n, each difference formed
+    in place in one float arange, which holds the integers exactly."""
     n = sorted_cdf_values.size
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - sorted_cdf_values)
-    d_minus = np.max(sorted_cdf_values - (i - 1) / n)
-    return float(max(d_plus, d_minus))
+    d = np.arange(1.0, n + 1.0)
+    d /= n
+    d -= sorted_cdf_values
+    d_plus = d.max()
+    del d  # so that the second arange can take its place
+    d = np.arange(0.0, n)
+    d /= n
+    np.subtract(sorted_cdf_values, d, out=d)
+    return float(max(d_plus, d.max()))
 
 
 def ks_test(param: Parameterization, config: McConfig) -> KsResult:
     """Kolmogorov-Smirnov test of sampled product SNRs against the
     analytic distribution, at the 1% level; `cdf` evaluates it at all
     sorted samples in one panel pass."""
-    gamma = np.sort(_draw_all(param, config))
+    gamma = _draw_all(param, config)
+    gamma.sort()
     d = _ks_statistic(cdf(param.channel_params(), gamma))
     crit = KS_CRITICAL_1PCT / math.sqrt(config.n_samples)
     return KsResult(d, crit, d < crit, config.n_samples, config.seed)
@@ -233,11 +256,12 @@ def ks_test_marginal(rho: float, config: McConfig, link: str = "forward") -> KsR
         raise DomainError("rho must lie in [0, 1]")
     if link not in ("forward", "backward"):
         raise ConfigError("link must be 'forward' or 'backward'")
-    pick = 0 if link == "forward" else 1
-    buf = np.empty((4, max(config.batch_sizes())))
-    g = np.sort(np.concatenate([_draw_pairs(rng, rho, size, buf)[pick].copy()
-                                for rng, size in _substreams(config)]))
-    cdf_vals = -np.expm1(-g)
-    d = _ks_statistic(cdf_vals)
+    g = _draw_into(rho, config, lambda g_f, g_b, out:
+                   np.copyto(out, g_f if link == "forward" else g_b))
+    g.sort()
+    np.negative(g, out=g)
+    np.expm1(g, out=g)
+    np.negative(g, out=g)                   # F = -expm1(-g)
+    d = _ks_statistic(g)
     crit = KS_CRITICAL_1PCT / math.sqrt(config.n_samples)
     return KsResult(d, crit, d < crit, config.n_samples, config.seed)

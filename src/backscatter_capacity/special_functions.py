@@ -192,7 +192,7 @@ def bessel_k0_scaled(x):
     if np.any(arr <= 0):
         raise DomainError("bessel_k0_scaled requires x > 0 (K0 diverges at 0)")
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
+    arr = np.atleast_1d(arr)
     out = np.empty_like(arr)
 
     small = arr <= 1.0

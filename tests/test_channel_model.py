@@ -5,6 +5,7 @@ Frozen constants come from 25-digit mpmath quadrature/Bessel evaluations.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,10 @@ from hypothesis import strategies as st
 
 from backscatter_capacity.capacity import capacity_quadrature, capacity_series
 from backscatter_capacity.channel_model import (
+    _CDF_LADDER,
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
+    _U_MAX,
     FIXED_POWER_BUDGET,
     FIXED_RECEIVER_SNR,
     ChannelParams,
@@ -21,6 +26,7 @@ from backscatter_capacity.channel_model import (
     cdf,
     db_to_linear,
     moment,
+    _pdf_u,
     moment_log_derivative,
     pdf,
 )
@@ -261,6 +267,84 @@ class TestCdf:
         scalar = cdf(p, 1.0)
         assert isinstance(scalar, float)
         assert scalar == pytest.approx(ref[3], abs=1e-14)
+
+
+def _pdf_one_shot(params, gamma):
+    """pdf as one whole-array expression, the form before block evaluation"""
+    g = np.asarray(gamma, dtype=float)
+    rate = params.tail_rate
+    u = np.sqrt(np.atleast_1d(g))
+    u *= rate
+    vals = _pdf_u(params.rho, u, 0.5 * rate * rate) / u
+    return float(vals[0]) if g.ndim == 0 else vals
+
+
+def _cdf_one_shot(params, gamma):
+    """cdf with its panel nodes evaluated as one array, the form before
+    block evaluation"""
+    g = np.asarray(gamma, dtype=float)
+    u = np.minimum(params.tail_rate * np.sqrt(g.ravel()), _U_MAX)
+    edges, where = np.unique(np.concatenate([[0.0], _CDF_LADDER, u]), return_inverse=True)
+    lo, width = edges[:-1], np.diff(edges)
+    vals = _pdf_u(params.rho, lo[:, None] + width[:, None] * _GAUSS_NODES)
+    mass = np.concatenate([[0.0], np.cumsum((vals @ _GAUSS_WEIGHTS) * width)])
+    out = np.minimum(mass[where[1 + _CDF_LADDER.size:]], 1.0)
+    return float(out[0]) if g.ndim == 0 else out.reshape(g.shape)
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockEvaluation:
+    """pdf and cdf evaluate the density in blocks of _BESSEL_CHUNK
+    elements: the bytes of the whole-array form, one output-sized array."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0 - 1e-9, 1.0])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+    def test_same_bytes_as_one_shot(self, n, rho):
+        p = ChannelParams(10.0, rho)
+        g = np.geomspace(1e-6, 1e3, n)
+        for f, ref in ((pdf, _pdf_one_shot), (cdf, _cdf_one_shot)):
+            got = f(p, g)
+            assert got.shape == g.shape
+            assert got.tobytes() == ref(p, g).tobytes()
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0 - 1e-9, 1.0])
+    def test_same_bytes_on_0d_and_2d_inputs(self, rho):
+        p = ChannelParams(10.0, rho)
+        # 2-D in C and in Fortran order, across a block edge
+        grid = np.geomspace(1e-6, 1e3, 3 * 4097).reshape(3, 4097)
+        for g in (grid, np.asfortranarray(grid), grid.T):
+            for f, ref in ((pdf, _pdf_one_shot), (cdf, _cdf_one_shot)):
+                got = f(p, g)
+                assert got.shape == g.shape
+                assert got.tobytes() == ref(p, g).tobytes()
+        for f, ref in ((pdf, _pdf_one_shot), (cdf, _cdf_one_shot)):
+            got = f(p, np.float64(3.0))
+            assert isinstance(got, float) and got == ref(p, 3.0)
+
+    def test_empty_input(self):
+        p = ChannelParams(10.0, 0.5)
+        assert pdf(p, np.empty((0, 3))).shape == (0, 3)
+
+    def test_pdf_peak_memory(self):
+        # only the result is grid-sized; the whole-array form peaked at 7.5 grids
+        p = ChannelParams(10.0, 0.5)
+        g = np.linspace(1e-3, 50.0, 200_000)
+        assert _peak_bytes(lambda: pdf(p, g)) < 2.5 * g.nbytes
+
+    def test_cdf_peak_memory(self):
+        # the (P, 8) panel nodes and their density, not seven more copies:
+        # the whole-array form peaked at 47.8 MiB
+        p = ChannelParams(10.0, 0.5)
+        g = np.sort(np.random.default_rng(1).exponential(10.0, 100_000))
+        assert _peak_bytes(lambda: cdf(p, g)) < 20 * 2 ** 20
 
 
 class TestMoments:

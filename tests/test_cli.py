@@ -3,12 +3,13 @@ config handling and the figure datasets."""
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
 import backscatter_capacity.cli as cli
-from backscatter_capacity import validation
+from backscatter_capacity import monte_carlo, validation
 from backscatter_capacity.cli import (
     CSV_HEADER,
     SweepSpec,
@@ -325,6 +326,28 @@ class TestCliEndToEnd:
         assert captured.err.splitlines() == [
             "bscap: numerical failure: Monte Carlo sum is not finite",
             '{"gamma_bar": 1e+307, "rho": 0.0, "seed": 12345}']
+
+    def test_mc_out_of_memory_exit_1(self, monkeypatch, capsys):
+        # the batch rows' allocation fails as numpy's does for 1e12 samples;
+        # a real request that size can succeed under memory overcommit and
+        # then get the process killed
+        def no_room(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array with "
+                              "shape (2, 4, 500000000000) and data type float64")
+
+        fake_np = types.ModuleType("numpy")
+        fake_np.__dict__.update(vars(np))
+        fake_np.empty = no_room
+        monkeypatch.setattr(monte_carlo, "np", fake_np)
+        code = main(["mc", "--snr-db", "10", "--rho", "0.5",
+                     "--samples", "1000000000000", "--batches", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "bscap: out of memory: Unable to allocate 29.1 TiB for an array with "
+            "shape (2, 4, 500000000000) and data type float64; "
+            "lower --samples or raise --batches"]
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = {"mode": "fixed_receiver_snr", "snr_db_grid": [0.0],

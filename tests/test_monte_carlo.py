@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,10 @@ from backscatter_capacity.monte_carlo import (
     KsResult,
     McConfig,
     _batch_means,
+    _draw_all,
     _draw_pairs,
+    _ks_statistic,
+    _substreams,
     batch_rng,
     estimate_capacity,
     estimate_moment,
@@ -296,3 +300,37 @@ class TestKs:
     def test_rho_one_passes(self, mode):
         cfg = McConfig(n_samples=50_000, seed=81, n_batches=100)
         assert ks_test(Parameterization(mode, 1.0, 1.0), cfg).passed
+
+    def test_draw_all_matches_concatenated_batches(self):
+        cfg = McConfig(n_samples=10_007, seed=82, n_batches=10)
+        param = Parameterization(FIXED_POWER_BUDGET, 3.0, 0.7)
+        buf = np.empty((4, max(cfg.batch_sizes())))
+        ref = np.concatenate([param.snr_budget * g_f * g_b for g_f, g_b in
+                              (_draw_pairs(rng, 0.7, size, buf)
+                               for rng, size in _substreams(cfg))])
+        assert _draw_all(param, cfg).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10_001])
+    def test_ks_statistic_matches_integer_form(self, n):
+        f = np.sort(np.random.default_rng(n).random(n))
+        i = np.arange(1, n + 1)
+        ref = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+        assert repr(_ks_statistic(f)) == repr(ref)
+
+    def test_peak_memory_in_samples(self):
+        # one sample array, the batch rows and one difference at a time:
+        # at most 3 sample-sized arrays (5 for the marginal test before)
+        cfg = McConfig(n_samples=500_000, seed=83, n_batches=100)
+        param = Parameterization(FIXED_RECEIVER_SNR, 10.0, 0.5)
+
+        def draw_and_sort():
+            _draw_all(param, cfg).sort()
+
+        for f in (draw_and_sort, lambda: ks_test_marginal(0.5, cfg)):
+            tracemalloc.start()
+            try:
+                f()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 8 * cfg.n_samples
