@@ -56,22 +56,45 @@ class CapacityEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
+class _NodeKey:
+    """A node array as a memo key, equal to the key of any equal array.  A
+    read-only array that owns its data, as the node tables cached per
+    interval by _mapped_ladder and per contour by _mb_first_pass do, is held
+    as it is and matches itself without reading its nodes; any other array
+    is held as a read-only copy."""
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: np.ndarray):
+        if nodes.flags.writeable or nodes.base is not None:
+            nodes = nodes.copy()
+            nodes.flags.writeable = False
+        self.nodes = nodes
+
+    def __hash__(self) -> int:
+        return self.nodes.size
+
+    def __eq__(self, other) -> bool:
+        a, b = self.nodes, other.nodes
+        return a is b or (a.shape == b.shape and a.dtype == b.dtype
+                          and a.tobytes() == b.tobytes())
+
+
 def _memo_per_rho(kernel):
     """kernel(rho, nodes) -> (array, ...), memoized per (rho, node array):
     up to 128 entries, each array read-only so that every caller and thread
-    can share it.  Keyed by the whole node array, since the kernel may
-    depend on all of it; arrays of more than _MEMO_MAX_NODES nodes are
-    evaluated afresh."""
+    can share it.  Keyed by the whole node array (_NodeKey), since the
+    kernel may depend on all of it; arrays of more than _MEMO_MAX_NODES
+    nodes are evaluated afresh."""
     @lru_cache(maxsize=128)
-    def cached(rho: float, nodes_bytes: bytes, dtype) -> tuple:
-        out = kernel(rho, np.frombuffer(nodes_bytes, dtype=dtype))
+    def cached(rho: float, key: _NodeKey) -> tuple:
+        out = kernel(rho, key.nodes)
         out[0].flags.writeable = False
         return out
 
     def memo(rho: float, nodes: np.ndarray) -> tuple:
         if nodes.size > _MEMO_MAX_NODES:
             return kernel(rho, nodes)
-        return cached(rho, nodes.tobytes(), nodes.dtype)
+        return cached(rho, _NodeKey(nodes))
 
     memo.cache_clear, memo.cache_info = cached.cache_clear, cached.cache_info
     return memo
@@ -134,8 +157,8 @@ def capacity_series(params: ChannelParams, rel_tol: float = REL_TOL) -> Capacity
     where 1 + 2s is never an integer.  terms_used counts 2F1 terms.
 
     The factor does not depend on gbar, so it is memoized per (rho, node
-    array) by _memo_per_rho: 32 bytes per node, about 8 KB per entry for the
-    usual 257 nodes.
+    array) by _memo_per_rho: 16 bytes per node, about 4 KB per entry for the
+    usual 257 nodes, whose key is the contour's cached node table.
     """
     rho = params.rho
     near_one = rho > _SERIES_SWITCH_RHO

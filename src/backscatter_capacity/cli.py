@@ -278,11 +278,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_value_list(text: str) -> tuple:
-    """Comma list or start:stop:step (stop inclusive when on-grid)."""
+    """Comma list or start:stop:step (stop inclusive when on-grid); -0 reads
+    as 0, the point it names."""
     text = text.strip()
     sep = ":" if ":" in text else ","
     try:
-        values = tuple(float(p) for p in text.split(sep))
+        values = tuple(float(p) + 0.0 for p in text.split(sep))
     except ValueError as exc:
         raise ConfigError(f"cannot parse number list {text!r}") from exc
     if sep == ",":
@@ -429,8 +430,9 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     mc = _mc_from_args(args, mc) if "mc" in methods else mc
     out = args.out if args.out is not None else cfg.get("output_path")
     fmt = args.format if args.format is not None else cfg.get("output_format", "csv")
-    return SweepSpec(mode=mode, snr_db_grid=tuple(float(s) for s in snr),
-                     rho_list=tuple(float(r) for r in rho), methods=methods,
+    # + 0.0 reads a config file's -0.0 as 0, as parse_value_list does
+    return SweepSpec(mode=mode, snr_db_grid=tuple(float(s) + 0.0 for s in snr),
+                     rho_list=tuple(float(r) + 0.0 for r in rho), methods=methods,
                      mc=mc, output_path=out, output_format=fmt)
 
 

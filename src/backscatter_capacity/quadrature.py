@@ -34,13 +34,14 @@ _U_MAX = 6.0
 _ABS_TOL = 1e-14
 _MAX_NODES = 200_000  # node budget of one refinement, read at call time
 _LOG_DROP = 46.0
+_MIN_REL_TOL = 100 * np.finfo(float).eps
 
 
 def _check_rel_tol(rel_tol: float) -> float:
     """rel_tol if it lies in [100 eps, 1), else DomainError."""
     if not rel_tol > 0:
         raise DomainError("rel_tol must be strictly positive")
-    if rel_tol < 100 * np.finfo(float).eps:
+    if rel_tol < _MIN_REL_TOL:
         raise DomainError("rel_tol below 100*machine-epsilon is not honest")
     if rel_tol >= 1:
         raise DomainError("rel_tol must be below 1")
@@ -115,9 +116,10 @@ def _ladder(first: int, last: int) -> tuple:
 def _mapped(a: float, b: float, ladder: tuple) -> tuple:
     """The read-only nodes x and weights w of ladder mapped onto (a, b),
     without the nodes that round onto an endpoint or carry no weight, and
-    the count of nodes kept before each segment bound.  Offsets from the
-    endpoints are computed directly from 1 - tanh(t) = 2/(1 + e^{2t}) so
-    nodes never round onto a or b."""
+    the plan of its levels: per level, the kept positions (start, t < 0
+    start, end) of its two sign segments.  Offsets from the endpoints are
+    computed directly from 1 - tanh(t) = 2/(1 + e^{2t}) so nodes never
+    round onto a or b."""
     pos, et, onep, cosh_u, sech2, bounds = ladder
     half = 0.5 * (b - a)
     # distance from the nearer endpoint, exact for large |t|
@@ -127,7 +129,8 @@ def _mapped(a: float, b: float, ladder: tuple) -> tuple:
     keep = (delta > 0) & (w > 0)
     x, w = x[keep], w[keep]
     x.flags.writeable = w.flags.writeable = False
-    return x, w, np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
+    kept = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
+    return x, w, tuple(zip(kept[:-1:2], kept[1::2], kept[2::2]))
 
 
 @lru_cache(maxsize=16)
@@ -137,16 +140,21 @@ def _mapped_ladder(a: float, b: float) -> tuple:
 
 
 def _level_sums(f, mapped: tuple) -> list[tuple[float, int]]:
-    """(sum of w f, node count) of each level of mapped, from one call of f."""
-    x, w, kept = mapped
+    """(sum of w f, node count) of each level of mapped, from one call of f.
+    A level's sign segments are summed apart, t >= 0 first, and added to a
+    running total from 0.0.  Segments of equal length are reduced as the
+    two rows of one array, which sums each row as it sums the segment
+    alone; level 0 holds u = 0 in its t >= 0 segment only."""
+    x, w, plan = mapped
     wf = w * f(x)
     sums = []
-    for seg in range(0, len(kept) - 1, 2):
-        total = 0.0
-        for lo, hi in zip(kept[seg:seg + 2], kept[seg + 1:seg + 3]):  # t >= 0 first
-            if hi > lo:
-                total += float(np.add.reduce(wf[lo:hi]))
-        sums.append((total, kept[seg + 2] - kept[seg]))
+    for lo, mid, hi in plan:
+        if mid - lo == hi - mid:
+            pos, neg = np.add.reduce(wf[lo:hi].reshape(2, mid - lo), 1).tolist()
+        else:
+            pos, neg = [float(np.add.reduce(wf[i:j])) if j > i else 0.0
+                        for i, j in ((lo, mid), (mid, hi))]
+        sums.append((0.0 + pos + neg, hi - lo))
     return sums
 
 

@@ -377,17 +377,17 @@ def _mb_shape(s: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _mb_first_pass(c: float, T: float) -> tuple:
-    """(h, s, shape, pieces) of a contour's first factor call on Re s = c:
-    step h of level 0, the nodes s of levels 0.._MB_DEPTH in level order
-    followed by the tail node c + iT, _mb_shape(s), and the slices that
-    cut s into levels and tail.  s and shape are read-only."""
+    """(h, s, shape, pieces, -s) of a contour's first factor call on
+    Re s = c: step h of level 0, the nodes s of levels 0.._MB_DEPTH in level
+    order followed by the tail node c + iT, _mb_shape(s), the slices that
+    cut s into levels and tail, and -s.  The arrays are read-only."""
     h = min(0.5, T / 64.0)
     nodes = _level_nodes(h, T, 0, _MB_DEPTH)
     s = c + 1j * np.concatenate(nodes + [np.array([T])])
-    shape = _mb_shape(s)
-    s.flags.writeable = shape.flags.writeable = False
+    shape, neg_s = _mb_shape(s), -s
+    s.flags.writeable = shape.flags.writeable = neg_s.flags.writeable = False
     ends = np.cumsum([t.size for t in nodes] + [1]).tolist()
-    return h, s, shape, tuple(slice(lo, hi) for lo, hi in zip([0] + ends, ends))
+    return h, s, shape, tuple(slice(lo, hi) for lo, hi in zip([0] + ends, ends)), neg_s
 
 
 def mellin_barnes_integral(c: float, z: float, factor, rel_tol: float = REL_TOL):
@@ -411,22 +411,22 @@ def mellin_barnes_integral(c: float, z: float, factor, rel_tol: float = REL_TOL)
     T = (-math.log(_check_rel_tol(rel_tol) * 1e-3)) / _MB_DECAY_RATE + _MB_CONTOUR_MARGIN
     log_z = math.log(z)
 
-    def g(s, shape):
+    def g(s, neg_s, shape):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = shape * np.exp(-s * log_z) * factor(s)
-        return np.where(np.isfinite(vals), vals, 0.0).real
+            vals = shape * np.exp(neg_s * log_z) * factor(s)
+        return np.where(np.isfinite(vals), vals.real, 0.0)
 
     def more(level):  # the odd nodes of a level, in the current attempt's [0, T]
         if level <= _MB_DEPTH:
             odd = vals[level]
         else:
             s = c + 1j * _level_nodes(h, T, level, level)[0]
-            odd = g(s, _mb_shape(s))
+            odd = g(s, -s, _mb_shape(s))
         return [(float(np.add.reduce(odd)), odd.size)]
 
     for _attempt in range(4):
-        h, s, shape, pieces = _mb_first_pass(c, T)
-        first = g(s, shape)
+        h, s, shape, pieces, neg_s = _mb_first_pass(c, T)
+        first = g(s, neg_s, shape)
         vals = [first[piece] for piece in pieces]  # one per level, then the tail node
         value, err, n_nodes, _, converged = _halve(
             [(float(vals[0][0]) * 0.5 + float(np.add.reduce(vals[0][1:])), vals[0].size)],

@@ -177,6 +177,35 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             dens[0] = 0.0
 
+    @pytest.mark.parametrize("memo, method", [
+        (capacity._log2e_density, capacity_quadrature),
+        (capacity._contour_factor, capacity_series)])
+    def test_warm_point_finds_its_entry(self, memo, method):
+        # a second SNR at a cached rho is one hit on the entry of the node
+        # table cached for the interval or the contour, and adds none
+        memo.cache_clear()
+        method(ChannelParams(10.0, 0.3))
+        before = memo.cache_info()
+        method(ChannelParams(1e3, 0.3))
+        after = memo.cache_info()
+        assert after.currsize == before.currsize == 1
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_memo_keys_on_the_node_values(self):
+        # an equal array finds the entry; a writeable array is keyed by a
+        # copy, so changing it afterwards reaches a new entry, as does an
+        # array of the same values in another shape
+        capacity._log2e_density.cache_clear()
+        u = np.linspace(0.1, 40.0, 33)
+        first, = capacity._log2e_density(0.3, u)
+        assert capacity._log2e_density(0.3, u.copy())[0] is first
+        assert capacity._log2e_density(0.3, u.reshape(3, 11))[0].shape == (3, 11)
+        u[0] = 0.2
+        second, = capacity._log2e_density(0.3, u)
+        assert second[0] != first[0]
+        assert repr(second[1:]) == repr(first[1:])
+        assert capacity._log2e_density.cache_info().currsize == 3
+
     def test_deep_levels_bypass_the_cache(self, monkeypatch):
         # at rel_tol 1e-13 this point refines to level 6, whose 384 new
         # nodes are one array past a memo limit of 383: levels 0-5 are

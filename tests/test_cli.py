@@ -360,6 +360,39 @@ class TestCliEndToEnd:
         body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert body[1].split(",")[1] == "0"  # flag beat the config
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_signed_zero_prints_as_zero(self, tmp_path, fmt):
+        # -0 names the point 0 (--rho 0,-0 is a repeat): flags and config
+        # files give the bytes of 0
+        def sweep(name, snr, rho, config=False):
+            out = tmp_path / f"{name}.{fmt}"
+            if config:
+                cfg = tmp_path / f"{name}.json"
+                cfg.write_text(f'{{"mode": "fixed_receiver_snr", "snr_db_grid": [{snr}],'
+                               f' "rho_list": [{rho}], "methods": ["quadrature", "series"]}}')
+                argv = ["sweep", "--config", str(cfg)]
+            else:
+                argv = ["sweep", "--mode", "fixed_receiver_snr", f"--snr-db={snr}",
+                        f"--rho={rho}", "--method", "quadrature,series"]
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        zero = sweep("zero", "0", "0")
+        assert sweep("flags", "-0", "-0") == zero
+        assert sweep("range", "-0:0:1", "-0.0") == zero
+        assert sweep("config", "-0.0", "-0.0", config=True) == zero
+        assert sweep("config_zero", "0.0", "0.0", config=True) == zero
+
+    def test_pdf_signed_zero_prints_as_zero(self, tmp_path):
+        out = {}
+        for name, value in (("zero", "0"), ("negative", "-0")):
+            path = tmp_path / f"{name}.csv"
+            assert main(["pdf", f"--snr-db={value}", f"--rho={value}", "--gamma", "1",
+                         "--out", str(path)]) == 0
+            out[name] = path.read_bytes()
+        assert out["negative"] == out["zero"]
+        assert out["zero"].splitlines()[-1].startswith(b"0,0,")
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         for cfg, message in (({"snr_grid": [0]}, "unknown config keys"),

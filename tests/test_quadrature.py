@@ -209,6 +209,56 @@ def test_deep_levels_are_mapped_afresh(monkeypatch):
     assert quadrature._mapped_ladder.cache_info().currsize == 1
 
 
+def _segment_sums(f, mapped):
+    """_level_sums with one reduction per non-empty sign segment."""
+    x, w, plan = mapped
+    wf = w * f(x)
+    sums = []
+    for lo, mid, hi in plan:
+        total = 0.0
+        for i, j in ((lo, mid), (mid, hi)):
+            if j > i:
+                total += float(np.add.reduce(wf[i:j]))
+        sums.append((total, hi - lo))
+    return sums
+
+
+_SUM_INTEGRANDS = [lambda x: -np.log(x), lambda x: np.exp(-x) * np.sin(7.0 * x),
+                   lambda x: 1.0 / np.sqrt(x)]
+
+
+@pytest.mark.parametrize("levels", [(0, 5), (6, 6), (7, 7)])
+def test_paired_level_sums_on_the_capacity_interval(levels):
+    # levels 1 up have sign segments of equal length, reduced as one
+    # (2, n) array; each level's sum has the bits of the per-segment sums
+    mapped = quadrature._mapped(0.0, capacity._U_MAX, quadrature._ladder(*levels))
+    unequal = [lo for lo, mid, hi in mapped[2] if mid - lo != hi - mid]
+    assert unequal == ([0] if levels[0] == 0 else [])
+    rate = ChannelParams(10.0, 0.5).tail_rate
+
+    def integrand(u):
+        t = u / rate
+        return np.log1p(t * t) * _pdf_u(0.5, u, LOG2E)
+
+    for f in _SUM_INTEGRANDS + [integrand]:
+        assert repr(quadrature._level_sums(f, mapped)) == repr(_segment_sums(f, mapped))
+
+
+@pytest.mark.parametrize("b", [1e-300, 1e-320, 1e-323])
+def test_paired_level_sums_where_nodes_are_dropped(b):
+    # on (0, b) the offsets from the endpoints underflow and _mapped drops
+    # nodes of both signs; at 1e-323 level 0 keeps only u = 0, so its
+    # t < 0 segment is empty
+    mapped = quadrature._mapped(0.0, b, quadrature._ladder(0, 5))
+    assert mapped[0].size < 383
+    unequal = [(mid - lo, hi - mid) for lo, mid, hi in mapped[2] if mid - lo != hi - mid]
+    assert len(unequal) == 1
+    if b == 1e-323:
+        assert unequal == [(1, 0)]
+    for f in _SUM_INTEGRANDS:
+        assert repr(quadrature._level_sums(f, mapped)) == repr(_segment_sums(f, mapped))
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.9999, 1.0])
 def test_ladder_bit_identical_on_capacity_integrand(rho):
     for snr_db in range(-60, 121, 10):

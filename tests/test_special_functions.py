@@ -436,10 +436,11 @@ class TestMeijerG:
 
     def test_cached_contour_is_read_only(self):
         special_functions._mb_first_pass.cache_clear()
-        h, s, shape, _ = special_functions._mb_first_pass(0.5, 8.8)
+        h, s, shape, _, neg_s = special_functions._mb_first_pass(0.5, 8.8)
         assert special_functions._mb_first_pass(0.5, 8.8)[2] is shape
         assert (h, s.size, shape.size) == (8.8 / 64.0, 257, 257)
         assert not s.flags.writeable and not shape.flags.writeable
+        assert not neg_s.flags.writeable and neg_s.tobytes() == (-s).tobytes()
         with pytest.raises(ValueError):
             shape[0] = 0.0
 
