@@ -12,7 +12,7 @@
 AWGN and single-Rayleigh references used by the sweep datasets live here
 too.  Every route covers rho in [0, 1], full correlation included.  All
 functions are pure; estimates carry an error bound (NaN marks asymptotes,
-which have no computable remainder).
+whose remainder is not computed yet).
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def capacity_high_snr(params: ChannelParams) -> CapacityEstimate:
     """High-SNR asymptote log2(gbar) - 2 log2(e) gamma_e - log2(1+rho).
 
     Valid at rho = 1; may go negative at low SNR (callers judge
-    applicability).  No remainder term exists, so the error bound is NaN.
+    applicability).  No remainder is computed (yet): the error bound is NaN.
     """
     value = math.log2(params.gamma_bar) + LOG2E * moment_log_derivative(params.rho)
     return CapacityEstimate(value, math.nan, {"kind": "asymptotic"})

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .quadrature import exponential_tail_cutoff, tanh_sinh
 from .special_functions import (
-    _BESSEL_CHUNK,
     EULER_GAMMA,
+    _blockwise,
     bessel_i0_scaled,
     bessel_k0_scaled,
     hyp2f1_neg_int,
@@ -37,7 +37,10 @@ MODES = (FIXED_RECEIVER_SNR, FIXED_POWER_BUDGET)
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:  # past about 3082.5 dB
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -111,17 +114,6 @@ def pdf(params: ChannelParams, gamma):
 
     vals = _blockwise(density, g)
     return float(vals) if g.ndim == 0 else vals
-
-
-def _blockwise(f, x: np.ndarray) -> np.ndarray:
-    """The elementwise map f over x, of any shape, evaluated on flat
-    blocks of _BESSEL_CHUNK elements: only the result is x-sized.  Each
-    element meets the same operations as in f(x), so the bits match it."""
-    out = np.empty(x.shape)
-    flat = out.reshape(-1)
-    for lo in range(0, x.size, _BESSEL_CHUNK):
-        flat[lo:lo + _BESSEL_CHUNK] = f(x.flat[lo:lo + _BESSEL_CHUNK])
-    return out
 
 
 def _pdf_u(rho: float, u: np.ndarray, scale: float = 1.0) -> np.ndarray:

@@ -29,7 +29,7 @@ from .errors import DomainError
 REL_TOL = 1e-10
 _HALF_PI = math.pi / 2.0
 # |u| beyond this leaves the endpoint offset subnormal and adds nothing.
-_U_MAX = 6.0
+_LADDER_U_END = 6.0
 # absolute floor of the convergence test, for integrals that vanish
 _ABS_TOL = 1e-14
 _MAX_NODES = 200_000  # node budget of one refinement, read at call time
@@ -100,7 +100,7 @@ def _ladder(first: int, last: int) -> tuple:
     sign) segment order: the t >= 0 mask, e^{-2|t|}, 1 + e^{-2|t|}, cosh u
     and sech^2 t for t = pi/2 sinh u, plus the segment bounds."""
     segments = []
-    for u_pos in _level_nodes(1.0, _U_MAX, first, last):
+    for u_pos in _level_nodes(1.0, _LADDER_U_END, first, last):
         segments += [u_pos, -u_pos[u_pos > 0]]  # u = 0 only once
     u = np.concatenate(segments)
     t = _HALF_PI * np.sinh(u)

@@ -82,7 +82,19 @@ _K0_CHEB_COEF = (
     3.3968309992009865e-17,
     -2.832136378538843e-18,
 )
-_BESSEL_CHUNK = 4096  # elements per chunk of the I0 series and K0 Chebyshev: 32 KB
+_BESSEL_CHUNK = 4096  # elements per block of every elementwise density map: 32 KB
+
+
+def _blockwise(f, x: np.ndarray) -> np.ndarray:
+    """The elementwise map f over x, of any shape, on flat blocks of
+    _BESSEL_CHUNK elements: f's temporaries stay cache-sized, only the result
+    is x-sized, and each element meets the operations of f(x), so the bits
+    match it.  A non-contiguous x is copied once, in C order."""
+    out = np.empty(x.shape)
+    flat, xs = out.reshape(-1), x.reshape(-1)
+    for lo in range(0, x.size, _BESSEL_CHUNK):
+        flat[lo:lo + _BESSEL_CHUNK] = f(xs[lo:lo + _BESSEL_CHUNK])
+    return out
 
 
 def _check_real_input(x, name: str) -> np.ndarray:
@@ -127,23 +139,15 @@ def bessel_i0_scaled(x):
     arr = _check_real_input(x, "bessel_i0_scaled")
     if np.any(arr < 0):
         raise DomainError("bessel_i0_scaled requires x >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     out = np.empty_like(arr)
 
     small = arr <= _BESSEL_SWITCH
-    if np.any(small):
-        # in chunks, so the temporaries stay cache-sized
-        xs = arr[small]
-        i0e = np.empty_like(xs)
-        for lo in range(0, xs.size, _BESSEL_CHUNK):
-            i0e[lo:lo + _BESSEL_CHUNK] = _i0e_series(xs[lo:lo + _BESSEL_CHUNK])
-        out[small] = i0e
+    out[small] = _blockwise(_i0e_series, arr[small])
     if np.any(~small):
         xl = arr[~small]
         out[~small] = _poly_inv(xl, _ASYM_TERMS, alternating=False) \
             / np.sqrt(2.0 * math.pi * xl)
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 def _k0e_small(x: np.ndarray) -> np.ndarray:
@@ -158,32 +162,24 @@ def _k0e_small(x: np.ndarray) -> np.ndarray:
 
 def _k0e_chebyshev(x: np.ndarray) -> np.ndarray:
     # Clenshaw's recurrence b_k = c_k + 2y b_{k+1} - b_{k+2}, then
-    # c_0 + y b_1 - b_2, divided by sqrt(x).  Chunks of the input run in
-    # place through five scratch rows allocated once per call.
-    out = np.empty_like(x)
-    y, y2, b1, b2, tmp = np.empty((5, min(x.size, _BESSEL_CHUNK)))
-    scale = 2.0 / math.log(_BESSEL_SWITCH)
-    for lo in range(0, x.size, _BESSEL_CHUNK):
-        xs = x[lo:lo + _BESSEL_CHUNK]
-        n = xs.size
-        yc, y2c, b1c, b2c, tc = y[:n], y2[:n], b1[:n], b2[:n], tmp[:n]
-        np.log(xs, out=yc)
-        np.multiply(yc, scale, out=yc)
-        np.subtract(yc, 1.0, out=yc)
-        np.add(yc, yc, out=y2c)
-        b1c.fill(_K0_CHEB_COEF[-1])
-        b2c.fill(0.0)
-        for c in _K0_CHEB_COEF[-2:0:-1]:
-            np.multiply(y2c, b1c, out=tc)
-            np.subtract(tc, b2c, out=b2c)
-            np.add(b2c, c, out=b2c)
-            b1c, b2c = b2c, b1c
-        np.multiply(yc, b1c, out=tc)
-        np.subtract(tc, b2c, out=tc)
-        np.add(tc, _K0_CHEB_COEF[0], out=tc)
-        np.sqrt(xs, out=b1c)
-        np.divide(tc, b1c, out=out[lo:lo + n])
-    return out
+    # c_0 + y b_1 - b_2, divided by sqrt(x), in place through five rows
+    y, y2, b1, b2, tmp = np.empty((5, x.size))
+    np.log(x, out=y)
+    np.multiply(y, 2.0 / math.log(_BESSEL_SWITCH), out=y)
+    np.subtract(y, 1.0, out=y)
+    np.add(y, y, out=y2)
+    b1.fill(_K0_CHEB_COEF[-1])
+    b2.fill(0.0)
+    for c in _K0_CHEB_COEF[-2:0:-1]:
+        np.multiply(y2, b1, out=tmp)
+        np.subtract(tmp, b2, out=b2)
+        np.add(b2, c, out=b2)
+        b1, b2 = b2, b1
+    np.multiply(y, b1, out=tmp)
+    np.subtract(tmp, b2, out=tmp)
+    np.add(tmp, _K0_CHEB_COEF[0], out=tmp)
+    np.sqrt(x, out=b1)
+    return np.divide(tmp, b1, out=tmp)
 
 
 def bessel_k0_scaled(x):
@@ -191,8 +187,6 @@ def bessel_k0_scaled(x):
     arr = _check_real_input(x, "bessel_k0_scaled")
     if np.any(arr <= 0):
         raise DomainError("bessel_k0_scaled requires x > 0 (K0 diverges at 0)")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     out = np.empty_like(arr)
 
     small = arr <= 1.0
@@ -200,13 +194,12 @@ def bessel_k0_scaled(x):
     large = arr > _BESSEL_SWITCH
     if np.any(small):
         out[small] = _k0e_small(arr[small])
-    if np.any(mid):
-        out[mid] = _k0e_chebyshev(arr[mid])
+    out[mid] = _blockwise(_k0e_chebyshev, arr[mid])
     if np.any(large):
         xl = arr[large]
         out[large] = _poly_inv(xl, _ASYM_TERMS, alternating=True) \
             * np.sqrt(math.pi / (2.0 * xl))
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------

@@ -299,6 +299,25 @@ class TestCliEndToEnd:
         assert not out.exists()
         assert "gamma_bar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mode", "fixed_receiver_snr", "--snr-db", "3100", "--rho", "0",
+         "--method", "awgn"],
+        ["mc", "--snr-db", "3100", "--rho", "0", "--samples", "1000", "--batches", "10"],
+        ["pdf", "--snr-db", "3100", "--rho", "0", "--gamma", "1"],
+        "config"], ids=["sweep", "mc", "pdf", "config"])
+    def test_snr_past_the_double_range_exit_1(self, argv, tmp_path, capsys):
+        # 10^310 overflows a double: one bscap line, not a traceback
+        if argv == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"mode": "fixed_receiver_snr", "snr_db_grid": [0, 3100],'
+                           ' "rho_list": [0], "methods": ["awgn"]}')
+            argv = ["sweep", "--config", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bscap:") and len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
     def test_convergence_error_exit_2(self, monkeypatch, tmp_path, capsys):
         def boom(*a, **k):
             raise ConvergenceError("no convergence", {

@@ -20,6 +20,7 @@ from backscatter_capacity.errors import ConvergenceError, DomainError
 from backscatter_capacity.special_functions import (
     _BESSEL_CHUNK,
     _BESSEL_SWITCH,
+    _I0_SERIES_COEF,
     _K0_CHEB_COEF,
     _hyp2f1_series,
     _lanczos_right,
@@ -110,8 +111,9 @@ class TestBesselScaled:
     @pytest.mark.parametrize("n", [1, _BESSEL_CHUNK - 1, _BESSEL_CHUNK,
                                    _BESSEL_CHUNK + 1, 2 * _BESSEL_CHUNK + 1])
     def test_mid_range_chunks_match_one_shot_clenshaw(self, n):
-        # the mid range runs chunk by chunk through reused scratch rows;
-        # every chunk must give the bits of the whole-array recurrence
+        # the mid range runs block by block through _blockwise, each block
+        # in place through its own rows; every block must give the bits of
+        # the whole-array recurrence
         x = np.linspace(1.0 + 1e-9, _BESSEL_SWITCH, n)
         y = np.log(x) * (2.0 / math.log(_BESSEL_SWITCH)) - 1.0
         y2 = y + y
@@ -120,6 +122,38 @@ class TestBesselScaled:
             b1, b2 = (y2 * b1 - b2) + c, b1
         ref = ((y * b1 - b2) + _K0_CHEB_COEF[0]) / np.sqrt(x)
         assert bessel_k0_scaled(x).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, _BESSEL_CHUNK - 1, _BESSEL_CHUNK,
+                                   _BESSEL_CHUNK + 1, 2 * _BESSEL_CHUNK + 1])
+    def test_series_region_chunks_match_one_shot_i0(self, n):
+        # the I0 series region runs block by block through _blockwise;
+        # every block must give the bits of the whole-array series
+        x = np.linspace(1e-9, _BESSEL_SWITCH, n)
+        y = 0.25 * x * x
+        i0 = np.zeros(n)
+        for c in _I0_SERIES_COEF[::-1]:
+            i0 = i0 * y + c
+        split = 134217729.0 * x
+        hi = split - (split - x)
+        lo = x - hi
+        rem = ((hi * hi - x * x) + 2.0 * hi * lo) + lo * lo
+        ref = (i0 + i0 * (rem / (1.0 + 2.0 * x))) * np.exp(-x)
+        assert bessel_i0_scaled(x).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("f", [bessel_i0_scaled, bessel_k0_scaled])
+    def test_any_shape_matches_the_flat_call(self, f):
+        # every branch, across block edges: 2-D inputs in C and Fortran
+        # order and transposed give the bits of the 1-D call reshaped
+        grid = np.geomspace(1e-6, 60.0, 3 * (_BESSEL_CHUNK + 1)).reshape(3, -1)
+        for x in (grid, np.asfortranarray(grid), grid.T):
+            got = f(x)
+            assert got.shape == x.shape
+            assert got.tobytes() == f(x.ravel()).reshape(x.shape).tobytes()
+        for v in (1e-6, 0.5, 1.0, 3.0, 22.0, 30.0):
+            got = f(np.float64(v))
+            assert isinstance(got, float) and got == f(np.array([v]))[0]
+        for shape in ((0,), (0, 3)):
+            assert f(np.empty(shape)).shape == shape
 
     def test_chebyshev_coefficients_rederived(self):
         # interpolation of sqrt(x) e^x K0(x) at the first-kind nodes of
