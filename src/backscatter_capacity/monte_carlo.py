@@ -10,13 +10,15 @@ Reproducibility: every batch draws from its own counter-based Philox
 substream keyed by (seed, batch_index), and batch sums are combined with
 exact summation, so results are bit-identical for any execution order or
 degree of parallelism.  `_batch_means` uses that: the calling thread opens
-every substream, then strided batch ranges run on a module-level pool
-sized to the usable CPUs, each worker drawing into four rows that the
-caller allocated.
+every substream, then a module-level pool sized to the usable CPUs takes
+batches in turn from one shared counter.  Each worker draws into three
+batch-sized rows and one scratch row of _DRAW_BLOCK values that the
+caller allocated, so a 1e5-pair batch holds 2.5 MB per worker.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +32,9 @@ from .special_functions import LOG2E
 
 # asymptotic Kolmogorov critical constant at the 1% level
 KS_CRITICAL_1PCT = 1.6276
+
+# values of z2 and of z3 that one scratch row holds while they are folded in
+_DRAW_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -79,33 +84,45 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_pairs(rng: np.random.Generator, rho: float, n: int, buf=None):
+def _draw_pairs(rng: np.random.Generator, rho: float, n: int, buf=None,
+                scratch=None):
     """(g_f, g_b) for n pairs, as views into the first n columns of `buf`
-    (shape (4, >= n), allocated when omitted).  The rows receive the four
-    normal vectors of standard_normal((4, n)) in order, and every
-    operation is that of the out-of-place formula, so the bits match it."""
+    (shape (3, >= n)); `scratch` (at least min(n, _DRAW_BLOCK) values)
+    takes z2 and z3 one block at a time.  Both are allocated when omitted.
+    The four normal vectors of standard_normal((4, n)) are drawn in stream
+    order, and every operation is that of the out-of-place formula, so the
+    bits match it."""
     if buf is None:
-        buf = np.empty((4, n))
-    r0, r1, r2, r3 = buf[:, :n]
+        buf = np.empty((3, n))
+    if scratch is None:
+        scratch = np.empty(min(n, _DRAW_BLOCK))
+    g_f, z1, g_b = buf[:, :n]
     sr, sq = math.sqrt(rho), math.sqrt(1.0 - rho)
-    for row in (r0, r1, r2):
-        rng.standard_normal(out=row)
-    np.multiply(sq, r2, out=r2)
-    np.multiply(sr, r0, out=r3)
-    np.add(r3, r2, out=r2)                  # re = sr z0 + sq z2
-    np.multiply(sr, r1, out=r3)             # sr z1, while z1 is still there
-    np.square(r0, out=r0)
-    np.square(r1, out=r1)
-    np.add(r0, r1, out=r0)
-    np.multiply(0.5, r0, out=r0)            # g_f = (z0^2 + z1^2) / 2
-    rng.standard_normal(out=r1)             # z3
-    np.multiply(sq, r1, out=r1)
-    np.add(r3, r1, out=r1)                  # im = sr z1 + sq z3
-    np.square(r2, out=r2)
-    np.square(r1, out=r1)
-    np.add(r2, r1, out=r2)
-    np.multiply(0.5, r2, out=r2)            # g_b = (re^2 + im^2) / 2
-    return r0, r2
+    rng.standard_normal(out=g_f)            # z0
+    rng.standard_normal(out=z1)
+    np.multiply(sr, g_f, out=g_b)           # sr z0
+    np.square(g_f, out=g_f)
+    for lo in range(0, n, _DRAW_BLOCK):
+        re, f = g_b[lo:lo + _DRAW_BLOCK], g_f[lo:lo + _DRAW_BLOCK]
+        z = scratch[:re.size]
+        rng.standard_normal(out=z)          # z2
+        np.multiply(sq, z, out=z)
+        np.add(re, z, out=re)               # re = sr z0 + sq z2
+        np.square(z1[lo:lo + _DRAW_BLOCK], out=z)
+        np.add(f, z, out=f)
+    np.multiply(0.5, g_f, out=g_f)          # g_f = (z0^2 + z1^2) / 2
+    np.square(g_b, out=g_b)
+    np.multiply(sr, z1, out=z1)
+    for lo in range(0, n, _DRAW_BLOCK):
+        b = g_b[lo:lo + _DRAW_BLOCK]
+        z = scratch[:b.size]
+        rng.standard_normal(out=z)          # z3
+        np.multiply(sq, z, out=z)
+        np.add(z1[lo:lo + _DRAW_BLOCK], z, out=z)   # im = sr z1 + sq z3
+        np.square(z, out=z)
+        np.add(b, z, out=b)
+    np.multiply(0.5, g_b, out=g_b)          # g_b = (re^2 + im^2) / 2
+    return g_f, g_b
 
 
 def _substreams(config: McConfig) -> list:
@@ -133,12 +150,13 @@ if hasattr(os, "register_at_fork"):
 def _batch_means(param: Parameterization, config: McConfig, transform):
     """Per-batch means of transform(gamma) plus the overall mean.
 
-    `transform` maps gamma to the summand in place.  Worker k takes
-    batches k, k + W, ... and reuses its own rows of one caller-allocated
-    buffer; each batch is still one np.sum over the whole batch.  The
-    overall mean is the exactly-summed total over batches divided by
-    n_samples, so it does not depend on accumulation order; a total that
-    is not finite raises ConvergenceError.
+    `transform` maps gamma to the summand in place.  Workers take the next
+    undrawn batch from one shared counter, so a descheduled worker holds
+    up no fixed share, and worker k reuses its own rows of the
+    caller-allocated buffers; each batch is still one np.sum over the
+    whole batch.  The overall mean is the exactly-summed total over
+    batches divided by n_samples, so it does not depend on accumulation
+    order; a total that is not finite raises ConvergenceError.
     """
     # in both parameterizations gamma = snr_budget * g_f * g_b:
     # the fixed-receiver mode folds its 1/(1+rho) normalization into
@@ -146,15 +164,18 @@ def _batch_means(param: Parameterization, config: McConfig, transform):
     scale, rho = param.snr_budget, param.rho
     streams = _substreams(config)
     n_workers = min(_POOL_WORKERS, len(streams))
-    bufs = np.empty((n_workers, 4, max(size for _, size in streams)))
+    width = max(size for _, size in streams)
+    bufs = np.empty((n_workers, 3, width))
+    scratch = np.empty((n_workers, min(width, _DRAW_BLOCK)))
     sums = [0.0] * len(streams)
+    batches = itertools.count()  # next() is one C call: no index goes out twice
 
     def work(k: int) -> None:
         # a gamma past the double range becomes inf, and the total says so
         with np.errstate(over="ignore"):
-            for i in range(k, len(streams), n_workers):
+            while (i := next(batches)) < len(streams):
                 rng, size = streams[i]
-                g_f, g_b = _draw_pairs(rng, rho, size, bufs[k])
+                g_f, g_b = _draw_pairs(rng, rho, size, bufs[k], scratch[k])
                 np.multiply(scale, g_f, out=g_f)
                 np.multiply(g_f, g_b, out=g_f)
                 sums[i] = float(np.sum(transform(g_f)))
@@ -204,11 +225,12 @@ def estimate_moment(param: Parameterization, k: int, config: McConfig) -> McResu
 def _draw_into(rho: float, config: McConfig, write) -> np.ndarray:
     """One value per sample, batch after batch: write(g_f, g_b, out) puts
     a batch's values into its slice `out` of the one result array."""
-    buf = np.empty((4, max(config.batch_sizes())))
+    width = max(config.batch_sizes())
+    buf, scratch = np.empty((3, width)), np.empty(min(width, _DRAW_BLOCK))
     vals = np.empty(config.n_samples)
     lo = 0
     for rng, size in _substreams(config):
-        write(*_draw_pairs(rng, rho, size, buf), vals[lo:lo + size])
+        write(*_draw_pairs(rng, rho, size, buf, scratch), vals[lo:lo + size])
         lo += size
     return vals
 

@@ -405,8 +405,7 @@ def mellin_barnes_integral(c: float, z: float, factor, rel_tol: float = REL_TOL)
     log_z = math.log(z)
 
     def g(s, neg_s, shape):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = shape * np.exp(neg_s * log_z) * factor(s)
+        vals = shape * np.exp(neg_s * log_z) * factor(s)
         return np.where(np.isfinite(vals), vals.real, 0.0)
 
     def more(level):  # the odd nodes of a level, in the current attempt's [0, T]

@@ -351,8 +351,8 @@ class TestCliEndToEnd:
         # a real request that size can succeed under memory overcommit and
         # then get the process killed
         def no_room(*args, **kwargs):
-            raise MemoryError("Unable to allocate 29.1 TiB for an array with "
-                              "shape (2, 4, 500000000000) and data type float64")
+            raise MemoryError("Unable to allocate 21.8 TiB for an array with "
+                              "shape (2, 3, 500000000000) and data type float64")
 
         fake_np = types.ModuleType("numpy")
         fake_np.__dict__.update(vars(np))
@@ -364,8 +364,8 @@ class TestCliEndToEnd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "bscap: out of memory: Unable to allocate 29.1 TiB for an array with "
-            "shape (2, 4, 500000000000) and data type float64; "
+            "bscap: out of memory: Unable to allocate 21.8 TiB for an array with "
+            "shape (2, 3, 500000000000) and data type float64; "
             "lower --samples or raise --batches"]
 
     def test_config_file_and_flag_override(self, tmp_path):

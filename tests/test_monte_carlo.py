@@ -93,6 +93,21 @@ class TestSampler:
         assert float(np.mean(g_f)) == pytest.approx(1.0, abs=0.004)
         assert float(np.mean(g_b)) == pytest.approx(1.0, abs=0.004)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_blocked_draw_matches_out_of_place_formula(self, rho):
+        # sizes on both sides of one and two scratch blocks, into one
+        # reused buffer wider than any of them that starts full of nan
+        sr, sq = math.sqrt(rho), math.sqrt(1.0 - rho)
+        buf = np.full((3, 100_010), np.nan)
+        scratch = np.full(monte_carlo._DRAW_BLOCK, np.nan)
+        for n in (1, 16_383, 16_384, 16_385, 32_771, 100_003):
+            z = batch_rng(12, n).standard_normal((4, n))
+            re = sr * z[0] + sq * z[2]
+            im = sr * z[1] + sq * z[3]
+            g_f, g_b = _draw_pairs(batch_rng(12, n), rho, n, buf, scratch)
+            assert g_f.tobytes() == (0.5 * (z[0] ** 2 + z[1] ** 2)).tobytes()
+            assert g_b.tobytes() == (0.5 * (re ** 2 + im ** 2)).tobytes()
+
 
 class TestEstimates:
     def test_capacity_within_3se_of_quadrature(self):
@@ -220,6 +235,47 @@ class TestBatchPool:
             ref = _serial_reference(param, self.CFG, lambda g: g ** k)
             assert repr((res.estimate, res.std_error, res.batch_estimates)) == repr(ref)
 
+    def test_multi_block_batches_match_serial_reference(self):
+        # two batches of about 50,000 pairs, four scratch blocks each
+        cfg = McConfig(n_samples=100_007, seed=34, n_batches=2)
+        param = Parameterization(FIXED_POWER_BUDGET, 10.0, 0.6)
+        res = estimate_capacity(param, cfg)
+        ref = _serial_reference(param, cfg, lambda g: LOG2E * np.log1p(g))
+        assert repr((res.estimate, res.std_error, res.batch_estimates)) == repr(ref)
+        res = estimate_moment(param, 2, cfg)
+        ref = _serial_reference(param, cfg, lambda g: g ** 2)
+        assert repr((res.estimate, res.std_error, res.batch_estimates)) == repr(ref)
+
+    def test_worker_count_does_not_move_bits(self, monkeypatch):
+        # batches go to whichever worker asks next, switching threads often;
+        # 3 workers may exceed the pool's threads, so one may find every
+        # batch taken.  A batch handed out twice would leave another unsummed
+        param = Parameterization(FIXED_RECEIVER_SNR, 10.0, 0.5)
+        expected = repr(estimate_capacity(param, self.CFG))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(monte_carlo, "_POOL_WORKERS", workers)
+                assert repr(estimate_capacity(param, self.CFG)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_memory_is_three_rows_and_a_block_per_worker(self):
+        cfg = McConfig(n_samples=1_000_000, seed=35, n_batches=10)
+        param = Parameterization(FIXED_RECEIVER_SNR, 10.0, 0.5)
+        workers = min(monte_carlo._POOL_WORKERS, cfg.n_batches)
+        width = max(cfg.batch_sizes())
+        # a process's first estimate also imports numpy.random (about 0.7 MiB)
+        estimate_capacity(param, McConfig(n_samples=1000, n_batches=10))
+        tracemalloc.start()
+        try:
+            estimate_capacity(param, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (3 * width + monte_carlo._DRAW_BLOCK) * 8 * workers
+
     def test_substreams_opened_on_calling_thread(self, monkeypatch):
         threads = []
         opened = monte_carlo.batch_rng
@@ -304,7 +360,7 @@ class TestKs:
     def test_draw_all_matches_concatenated_batches(self):
         cfg = McConfig(n_samples=10_007, seed=82, n_batches=10)
         param = Parameterization(FIXED_POWER_BUDGET, 3.0, 0.7)
-        buf = np.empty((4, max(cfg.batch_sizes())))
+        buf = np.empty((3, max(cfg.batch_sizes())))
         ref = np.concatenate([param.snr_budget * g_f * g_b for g_f, g_b in
                               (_draw_pairs(rng, 0.7, size, buf)
                                for rng, size in _substreams(cfg))])
