@@ -9,8 +9,9 @@ E{g_f g_b} = 1 + rho.
 Reproducibility: every batch draws from its own counter-based Philox
 substream keyed by (seed, batch_index), and batch sums are combined with
 exact summation, so results are bit-identical for any execution order or
-degree of parallelism.  `_batch_means` uses that: the calling thread opens
-every substream, then a module-level pool sized to the usable CPUs takes
+degree of parallelism.  `_each_batch`, the one batch loop behind both the
+estimates and the KS tests, uses that: the calling thread opens every
+substream, then a module-level pool sized to the usable CPUs takes
 batches in turn from one shared counter.  Each worker draws into three
 batch-sized rows and one scratch row of _DRAW_BLOCK values that the
 caller allocated, so a 1e5-pair batch holds 2.5 MB per worker.
@@ -125,12 +126,6 @@ def _draw_pairs(rng: np.random.Generator, rho: float, n: int, buf=None,
     return g_f, g_b
 
 
-def _substreams(config: McConfig) -> list:
-    """(rng, size) per batch, opened on the calling thread."""
-    return [(batch_rng(config.seed, i), size)
-            for i, size in enumerate(config.batch_sizes())]
-
-
 _POOL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
 
@@ -147,41 +142,53 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_pool)
 
 
-def _batch_means(param: Parameterization, config: McConfig, transform):
-    """Per-batch means of transform(gamma) plus the overall mean.
-
-    `transform` maps gamma to the summand in place.  Workers take the next
-    undrawn batch from one shared counter, so a descheduled worker holds
-    up no fixed share, and worker k reuses its own rows of the
-    caller-allocated buffers; each batch is still one np.sum over the
-    whole batch.  The overall mean is the exactly-summed total over
-    batches divided by n_samples, so it does not depend on accumulation
-    order; a total that is not finite raises ConvergenceError.
-    """
-    # in both parameterizations gamma = snr_budget * g_f * g_b:
-    # the fixed-receiver mode folds its 1/(1+rho) normalization into
-    # snr_budget so that E{gamma} = gamma_bar exactly
-    scale, rho = param.snr_budget, param.rho
-    streams = _substreams(config)
-    n_workers = min(_POOL_WORKERS, len(streams))
-    width = max(size for _, size in streams)
+def _each_batch(rho: float, config: McConfig, consume) -> None:
+    """consume(i, g_f, g_b) for every batch i, on the pool: the calling
+    thread opens every substream, a worker takes the next undrawn batch
+    from one shared counter (a descheduled worker holds up no fixed share)
+    and draws into its own rows of the buffers allocated here.  `consume`
+    calls only numpy and private helpers, and writes only batch i's result."""
+    sizes = config.batch_sizes()
+    streams = [batch_rng(config.seed, i) for i in range(len(sizes))]
+    n_workers = min(_POOL_WORKERS, len(sizes))
+    width = max(sizes)
     bufs = np.empty((n_workers, 3, width))
     scratch = np.empty((n_workers, min(width, _DRAW_BLOCK)))
-    sums = [0.0] * len(streams)
     batches = itertools.count()  # next() is one C call: no index goes out twice
 
     def work(k: int) -> None:
-        # a gamma past the double range becomes inf, and the total says so
+        # a gamma past the double range becomes inf, and the caller says so
         with np.errstate(over="ignore"):
-            while (i := next(batches)) < len(streams):
-                rng, size = streams[i]
-                g_f, g_b = _draw_pairs(rng, rho, size, bufs[k], scratch[k])
-                np.multiply(scale, g_f, out=g_f)
-                np.multiply(g_f, g_b, out=g_f)
-                sums[i] = float(np.sum(transform(g_f)))
+            while (i := next(batches)) < len(sizes):
+                consume(i, *_draw_pairs(streams[i], rho, sizes[i], bufs[k], scratch[k]))
 
     for future in [_POOL.submit(work, k) for k in range(n_workers)]:
         future.result()
+
+
+def _gamma(scale: float, g_f, g_b, out) -> np.ndarray:
+    """(scale g_f) g_b into `out`; in both parameterizations gamma =
+    snr_budget g_f g_b, the fixed-receiver mode folding its 1/(1+rho)
+    normalization into snr_budget so that E{gamma} = gamma_bar exactly."""
+    np.multiply(scale, g_f, out=out)
+    return np.multiply(out, g_b, out=out)
+
+
+def _batch_means(param: Parameterization, config: McConfig, transform) -> McResult:
+    """Mean of transform(gamma) with its batch means and standard error.
+
+    `transform` maps gamma to the summand in place, and each batch is one
+    np.sum over the whole batch.  The overall mean is the exactly-summed
+    total over batches divided by n_samples, so it does not depend on
+    accumulation order; a total that is not finite raises ConvergenceError.
+    """
+    scale, sizes = param.snr_budget, config.batch_sizes()
+    sums = [0.0] * len(sizes)
+
+    def consume(i, g_f, g_b):
+        sums[i] = float(np.sum(transform(_gamma(scale, g_f, g_b, g_f))))
+
+    _each_batch(param.rho, config, consume)
     try:
         estimate = math.fsum(sums) / config.n_samples
     except OverflowError:  # finite batch sums whose total is not finite
@@ -189,10 +196,10 @@ def _batch_means(param: Parameterization, config: McConfig, transform):
     if not math.isfinite(estimate):
         raise ConvergenceError("Monte Carlo sum is not finite",
                                {"seed": config.seed, "gamma_bar": param.gamma_bar,
-                                "rho": rho})
-    means = [s / size for s, (_, size) in zip(sums, streams)]
+                                "rho": param.rho})
+    means = [s / size for s, size in zip(sums, sizes)]
     std_error = float(np.std(np.array(means), ddof=1) / math.sqrt(len(means)))
-    return estimate, std_error, tuple(means)
+    return McResult(estimate, std_error, config.n_samples, config.seed, tuple(means))
 
 
 def _log2_1p(g: np.ndarray) -> np.ndarray:
@@ -205,8 +212,7 @@ def estimate_capacity(param: Parameterization, config: McConfig) -> McResult:
 
     Works at every rho, 1 included.
     """
-    estimate, se, means = _batch_means(param, config, _log2_1p)
-    return McResult(estimate, se, config.n_samples, config.seed, means)
+    return _batch_means(param, config, _log2_1p)
 
 
 def estimate_moment(param: Parameterization, k: int, config: McConfig) -> McResult:
@@ -218,32 +224,17 @@ def estimate_moment(param: Parameterization, k: int, config: McConfig) -> McResu
         g **= k
         return g
 
-    estimate, se, means = _batch_means(param, config, power)
-    return McResult(estimate, se, config.n_samples, config.seed, means)
+    return _batch_means(param, config, power)
 
 
-def _draw_into(rho: float, config: McConfig, write) -> np.ndarray:
-    """One value per sample, batch after batch: write(g_f, g_b, out) puts
-    a batch's values into its slice `out` of the one result array."""
-    width = max(config.batch_sizes())
-    buf, scratch = np.empty((3, width)), np.empty(min(width, _DRAW_BLOCK))
+def _draw_all(rho: float, config: McConfig, write) -> np.ndarray:
+    """One value per sample: write(g_f, g_b, out) puts batch i's values
+    into its slice `out` of the one result array."""
     vals = np.empty(config.n_samples)
-    lo = 0
-    for rng, size in _substreams(config):
-        write(*_draw_pairs(rng, rho, size, buf, scratch), vals[lo:lo + size])
-        lo += size
+    ends = list(itertools.accumulate(config.batch_sizes()))
+    _each_batch(rho, config, lambda i, g_f, g_b:
+                write(g_f, g_b, vals[ends[i] - g_f.size:ends[i]]))
     return vals
-
-
-def _draw_all(param: Parameterization, config: McConfig) -> np.ndarray:
-    """Every sampled gamma, (scale g_f) g_b."""
-    scale = param.snr_budget
-
-    def product(g_f, g_b, out):
-        np.multiply(scale, g_f, out=out)
-        np.multiply(out, g_b, out=out)
-
-    return _draw_into(param.rho, config, product)
 
 
 def _ks_statistic(sorted_cdf_values: np.ndarray) -> float:
@@ -265,7 +256,8 @@ def ks_test(param: Parameterization, config: McConfig) -> KsResult:
     """Kolmogorov-Smirnov test of sampled product SNRs against the
     analytic distribution, at the 1% level; `cdf` evaluates it at all
     sorted samples in one panel pass."""
-    gamma = _draw_all(param, config)
+    gamma = _draw_all(param.rho, config, lambda g_f, g_b, out:
+                      _gamma(param.snr_budget, g_f, g_b, out))
     gamma.sort()
     d = _ks_statistic(cdf(param.channel_params(), gamma))
     crit = KS_CRITICAL_1PCT / math.sqrt(config.n_samples)
@@ -278,8 +270,8 @@ def ks_test_marginal(rho: float, config: McConfig, link: str = "forward") -> KsR
         raise DomainError("rho must lie in [0, 1]")
     if link not in ("forward", "backward"):
         raise ConfigError("link must be 'forward' or 'backward'")
-    g = _draw_into(rho, config, lambda g_f, g_b, out:
-                   np.copyto(out, g_f if link == "forward" else g_b))
+    g = _draw_all(rho, config, lambda g_f, g_b, out:
+                  np.copyto(out, g_f if link == "forward" else g_b))
     g.sort()
     np.negative(g, out=g)
     np.expm1(g, out=g)

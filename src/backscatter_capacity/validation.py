@@ -32,7 +32,6 @@ from .channel_model import (
 )
 from .errors import ConvergenceError
 from .monte_carlo import (
-    KS_CRITICAL_1PCT,
     McConfig,
     estimate_capacity,
     estimate_moment,
@@ -300,10 +299,9 @@ def check_sampler_law(n_samples: int = 100_000,
             mres = ks_test_marginal(rho, cfg, link)
             if not mres.passed:
                 failures.append(f"{link} marginal KS fails at rho={rho}")
-    crit = KS_CRITICAL_1PCT / math.sqrt(n_samples)
     return _result("sampler_law", failures,
                    f"product KS stats {['%.5f' % s for s in stats]} vs "
-                   f"critical {crit:.5f}")
+                   f"critical {res.critical_value:.5f}")
 
 
 # ----------------------------------------------------------------------

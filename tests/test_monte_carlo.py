@@ -10,6 +10,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from backscatter_capacity.monte_carlo import (
     _batch_means,
     _draw_all,
     _draw_pairs,
+    _gamma,
     _ks_statistic,
-    _substreams,
     batch_rng,
     estimate_capacity,
     estimate_moment,
@@ -128,14 +129,14 @@ class TestEstimates:
         # combining the same batch sums in any order gives the same bits,
         # which is what makes parallel execution irrelevant to the result
         param = Parameterization(FIXED_RECEIVER_SNR, 10.0, 0.3)
-        estimate, _se, means = _batch_means(param, CFG, np.log1p)
+        res = _batch_means(param, CFG, np.log1p)
         sizes = CFG.batch_sizes()
-        sums = [m * s for m, s in zip(means, sizes)]
+        sums = [m * s for m, s in zip(res.batch_estimates, sizes)]
         rng = np.random.default_rng(0)
         for _ in range(3):
             order = rng.permutation(len(sums))
             shuffled = math.fsum(sums[i] for i in order) / CFG.n_samples
-            assert shuffled == estimate
+            assert shuffled == res.estimate
 
     def test_fixed_receiver_normalization_matches_budget_construction(self):
         # gamma_i streams coincide when gamma_bar = snr_I (1+rho)
@@ -214,6 +215,12 @@ def _serial_reference(param, config, transform):
     return estimate, std_error, tuple(means)
 
 
+def _ks_gamma(param, config):
+    """Every sampled gamma, as ks_test draws them before sorting."""
+    return _draw_all(param.rho, config, lambda g_f, g_b, out:
+                     _gamma(param.snr_budget, g_f, g_b, out))
+
+
 def _small_estimate() -> str:
     cfg = McConfig(n_samples=20_000, seed=33, n_batches=100)
     return repr(estimate_capacity(
@@ -249,15 +256,19 @@ class TestBatchPool:
     def test_worker_count_does_not_move_bits(self, monkeypatch):
         # batches go to whichever worker asks next, switching threads often;
         # 3 workers may exceed the pool's threads, so one may find every
-        # batch taken.  A batch handed out twice would leave another unsummed
+        # batch taken.  A batch handed out twice would leave another unsummed,
+        # or a slice of the KS samples unwritten
         param = Parameterization(FIXED_RECEIVER_SNR, 10.0, 0.5)
-        expected = repr(estimate_capacity(param, self.CFG))
+        calls = (lambda: estimate_capacity(param, self.CFG),
+                 lambda: ks_test(param, self.CFG),
+                 lambda: ks_test_marginal(0.5, self.CFG, "backward"))
+        expected = [repr(f()) for f in calls]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(monte_carlo, "_POOL_WORKERS", workers)
-                assert repr(estimate_capacity(param, self.CFG)) == expected
+                assert [repr(f()) for f in calls] == expected
         finally:
             sys.setswitchinterval(interval)
 
@@ -288,7 +299,9 @@ class TestBatchPool:
         param = Parameterization(FIXED_RECEIVER_SNR, 10.0, 0.5)
         estimate_capacity(param, self.CFG)
         estimate_moment(param, 2, self.CFG)
-        assert len(threads) == 2 * self.CFG.n_batches
+        ks_test(param, self.CFG)
+        ks_test_marginal(0.5, self.CFG)
+        assert len(threads) == 4 * self.CFG.n_batches
         assert set(threads) == {threading.get_ident()}
 
     def test_concurrent_callers_share_the_pool(self):
@@ -340,10 +353,9 @@ class TestKs:
 
     def test_mis_scaled_sampler_fails(self):
         from backscatter_capacity.channel_model import cdf
-        from backscatter_capacity.monte_carlo import _draw_all, _ks_statistic
         cfg = McConfig(n_samples=20_000, seed=79, n_batches=100)
         param = Parameterization(FIXED_RECEIVER_SNR, 1.0, 0.5)
-        gamma = np.sort(_draw_all(param, cfg) * 2.0)
+        gamma = np.sort(_ks_gamma(param, cfg) * 2.0)
         d = _ks_statistic(cdf(param.channel_params(), gamma))
         assert d > 1.6276 / math.sqrt(cfg.n_samples)
 
@@ -362,9 +374,18 @@ class TestKs:
         param = Parameterization(FIXED_POWER_BUDGET, 3.0, 0.7)
         buf = np.empty((3, max(cfg.batch_sizes())))
         ref = np.concatenate([param.snr_budget * g_f * g_b for g_f, g_b in
-                              (_draw_pairs(rng, 0.7, size, buf)
-                               for rng, size in _substreams(cfg))])
-        assert _draw_all(param, cfg).tobytes() == ref.tobytes()
+                              (_draw_pairs(batch_rng(cfg.seed, i), 0.7, size, buf)
+                               for i, size in enumerate(cfg.batch_sizes()))])
+        assert _ks_gamma(param, cfg).tobytes() == ref.tobytes()
+
+    def test_product_past_the_double_range_raises(self):
+        # at 3070 dB some scale g_f g_b passes 1.8e308: the draws overflow
+        # to inf on the pool without a warning, and cdf rejects the sample
+        cfg = McConfig(n_samples=2_000, seed=12345, n_batches=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                ks_test(Parameterization(FIXED_RECEIVER_SNR, 1e307, 0.5), cfg)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10_001])
     def test_ks_statistic_matches_integer_form(self, n):
@@ -380,7 +401,7 @@ class TestKs:
         param = Parameterization(FIXED_RECEIVER_SNR, 10.0, 0.5)
 
         def draw_and_sort():
-            _draw_all(param, cfg).sort()
+            _ks_gamma(param, cfg).sort()
 
         for f in (draw_and_sort, lambda: ks_test_marginal(0.5, cfg)):
             tracemalloc.start()
