@@ -108,8 +108,7 @@ def pdf(params: ChannelParams, gamma):
     scale = 0.5 * rate * rate
 
     def density(block):
-        u = np.sqrt(block)
-        u *= rate
+        u = rate * np.sqrt(block)
         return _pdf_u(params.rho, u, scale) / u
 
     vals = _blockwise(density, g)
@@ -139,8 +138,11 @@ _U_MAX = exponential_tail_cutoff(2.0)
 
 # Panel edges below every query point: _U_MAX * 2^-k, so no panel spans more
 # than a factor of 2 toward the K0 log singularity of the density at u = 0,
-# and _U_MAX * j/32, so none spans more than 1/32 of the exponential tail.
-_CDF_LADDER = _U_MAX * np.concatenate([2.0 ** -np.arange(40), np.arange(1, 32) / 32.0])
+# _U_MAX * 2^-(k+1/2) in (0.3, 10), so none spans more than sqrt(2) where the
+# bulk of the mass lies (8 nodes leave 1e-13 on a factor-2 panel there), and
+# _U_MAX * j/32, so none spans more than 1/32 of the exponential tail.
+_CDF_LADDER = _U_MAX * np.concatenate([2.0 ** -np.arange(40), 2.0 ** -np.arange(2.5, 8),
+                                       np.arange(1, 32) / 32.0])
 # cdf's 8-node Gauss-Legendre rule on [0, 1], numpy's leggauss(8) mapped from [-1, 1] and
 # written out: computing it would load numpy.polynomial or LAPACK on import
 _GAUSS_NODES = np.array([0.019855071751231912, 0.10166676129318664, 0.2372337950418355,

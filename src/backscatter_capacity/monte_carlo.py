@@ -259,6 +259,10 @@ def ks_test(param: Parameterization, config: McConfig) -> KsResult:
     gamma = _draw_all(param.rho, config, lambda g_f, g_b, out:
                       _gamma(param.snr_budget, g_f, g_b, out))
     gamma.sort()
+    if not math.isfinite(gamma[-1]):  # inf and nan sort last
+        raise ConvergenceError("Monte Carlo sample is not finite",
+                               {"seed": config.seed, "gamma_bar": param.gamma_bar,
+                                "rho": param.rho})
     d = _ks_statistic(cdf(param.channel_params(), gamma))
     crit = KS_CRITICAL_1PCT / math.sqrt(config.n_samples)
     return KsResult(d, crit, d < crit, config.n_samples, config.seed)

@@ -161,25 +161,16 @@ def _k0e_small(x: np.ndarray) -> np.ndarray:
 
 
 def _k0e_chebyshev(x: np.ndarray) -> np.ndarray:
-    # Clenshaw's recurrence b_k = c_k + 2y b_{k+1} - b_{k+2}, then
-    # c_0 + y b_1 - b_2, divided by sqrt(x), in place through five rows
-    y, y2, b1, b2, tmp = np.empty((5, x.size))
-    np.log(x, out=y)
-    np.multiply(y, 2.0 / math.log(_BESSEL_SWITCH), out=y)
-    np.subtract(y, 1.0, out=y)
-    np.add(y, y, out=y2)
-    b1.fill(_K0_CHEB_COEF[-1])
-    b2.fill(0.0)
+    # Clenshaw's recurrence b_k = c_k + 2y b_{k+1} - b_{k+2}, each b_k
+    # written over b_{k+2}, then (c_0 + y b_1 - b_2) / sqrt(x)
+    y = np.log(x) * (2.0 / math.log(_BESSEL_SWITCH)) - 1.0
+    y2 = y + y
+    b1, b2 = np.full(x.size, _K0_CHEB_COEF[-1]), np.zeros(x.size)
     for c in _K0_CHEB_COEF[-2:0:-1]:
-        np.multiply(y2, b1, out=tmp)
-        np.subtract(tmp, b2, out=b2)
-        np.add(b2, c, out=b2)
+        np.subtract(y2 * b1, b2, out=b2)
+        b2 += c
         b1, b2 = b2, b1
-    np.multiply(y, b1, out=tmp)
-    np.subtract(tmp, b2, out=tmp)
-    np.add(tmp, _K0_CHEB_COEF[0], out=tmp)
-    np.sqrt(x, out=b1)
-    return np.divide(tmp, b1, out=tmp)
+    return ((y * b1 - b2) + _K0_CHEB_COEF[0]) / np.sqrt(x)
 
 
 def bessel_k0_scaled(x):

@@ -253,6 +253,19 @@ class TestCdf:
         want = _oracle_cdf(gbar, rho, grid)
         assert np.max(np.abs(got - want)) < 1e-11
 
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.5])
+    def test_single_point_at_round_off(self, rho):
+        # one query point splits few panels, so the ladder alone must keep
+        # the 8-node rule at round-off where the mass lies: with factor-2
+        # panels above u = 1.7 it left about 1e-13
+        grid = [0.5, 2.0, 5.0, 10.0]
+        if rho == 0.0:
+            want = [1.0 - 2.0 * math.sqrt(g) * sp.k1(2.0 * math.sqrt(g)) for g in grid]
+        else:
+            want = _oracle_cdf(1.0, rho, grid)
+        got = [cdf(ChannelParams(1.0, rho), g) for g in grid]
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-14
+
     def test_order_duplicates_and_shape(self):
         p = ChannelParams(2.0, 0.6)
         grid = np.array([0.0, 0.01, 0.5, 1.0, 4.0, 20.0, 1e9])

@@ -380,12 +380,14 @@ class TestKs:
 
     def test_product_past_the_double_range_raises(self):
         # at 3070 dB some scale g_f g_b passes 1.8e308: the draws overflow
-        # to inf on the pool without a warning, and cdf rejects the sample
+        # to inf on the pool without a warning, and ks_test rejects the
+        # sample as estimate_capacity rejects its sum, naming seed and point
         cfg = McConfig(n_samples=2_000, seed=12345, n_batches=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError):
+            with pytest.raises(ConvergenceError, match="sample is not finite") as err:
                 ks_test(Parameterization(FIXED_RECEIVER_SNR, 1e307, 0.5), cfg)
+        assert err.value.diagnostics == {"seed": 12345, "gamma_bar": 1e307, "rho": 0.5}
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10_001])
     def test_ks_statistic_matches_integer_form(self, n):

@@ -111,9 +111,9 @@ class TestBesselScaled:
     @pytest.mark.parametrize("n", [1, _BESSEL_CHUNK - 1, _BESSEL_CHUNK,
                                    _BESSEL_CHUNK + 1, 2 * _BESSEL_CHUNK + 1])
     def test_mid_range_chunks_match_one_shot_clenshaw(self, n):
-        # the mid range runs block by block through _blockwise, each block
-        # in place through its own rows; every block must give the bits of
-        # the whole-array recurrence
+        # the mid range runs block by block through _blockwise, each block's
+        # b_k written over its b_{k+2}; every block must give the bits of the
+        # whole-array recurrence
         x = np.linspace(1.0 + 1e-9, _BESSEL_SWITCH, n)
         y = np.log(x) * (2.0 / math.log(_BESSEL_SWITCH)) - 1.0
         y2 = y + y
@@ -154,6 +154,24 @@ class TestBesselScaled:
             assert isinstance(got, float) and got == f(np.array([v]))[0]
         for shape in ((0,), (0, 3)):
             assert f(np.empty(shape)).shape == shape
+
+    @pytest.mark.parametrize("f, grid, lo, hi, bound", [
+        (bessel_k0_scaled, np.linspace, 1.0 + 1e-9, _BESSEL_SWITCH, 4),
+        (bessel_k0_scaled, np.geomspace, 1e-8, 1e6, 6),
+        (bessel_i0_scaled, np.geomspace, 1e-6, 60.0, 4),
+    ])
+    def test_peak_memory_in_inputs(self, f, grid, lo, hi, bound):
+        x = grid(lo, hi, 1_000_000)
+        # the masks, the branch's gathered input and the result are
+        # input-sized; the blocked kernels' temporaries are only block-sized
+        # (3.4, 5.4 and 3.0 inputs)
+        tracemalloc.start()
+        try:
+            f(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * x.nbytes
 
     def test_chebyshev_coefficients_rederived(self):
         # interpolation of sqrt(x) e^x K0(x) at the first-kind nodes of
