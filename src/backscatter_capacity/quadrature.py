@@ -8,10 +8,10 @@ between consecutive levels (_halve, which the series contour shares).
 
 The ladder is evaluated in one pass: the nodes and weights of levels 0-5
 (383 nodes) are mapped onto (a, b) once and cached per interval, each call
-evaluates the integrand once on every node, and the levels are summed and
-tested one by one as if they had been evaluated one at a time, so results
-do not depend on how far the pass reached.  A deeper level maps its own
-cached u-table afresh and calls the integrand once more.
+evaluates the integrand once on every node and sums all levels in one
+reduction (_zero_led_sums, which the contour shares); the levels are tested
+one by one as if evaluated one at a time, so results do not depend on how
+far the pass reached.  A deeper level maps its own u-table afresh.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _halve(sums: list, more, step: float, rel_tol: float, first_test: int) -> tu
 def _ladder(first: int, last: int) -> tuple:
     """The arrays of levels first..last that depend on u only, in (level,
     sign) segment order: the t >= 0 mask, e^{-2|t|}, 1 + e^{-2|t|}, cosh u
-    and sech^2 t for t = pi/2 sinh u, plus the segment bounds."""
+    and sech^2 t for t = pi/2 sinh u, plus each segment's (never empty) start."""
     segments = []
     for u_pos in _level_nodes(1.0, _LADDER_U_END, first, last):
         segments += [u_pos, -u_pos[u_pos > 0]]  # u = 0 only once
@@ -107,20 +107,39 @@ def _ladder(first: int, last: int) -> tuple:
     et = np.exp(-2.0 * np.abs(t))
     onep = 1.0 + et
     table = (t >= 0, et, onep, np.cosh(u), 4.0 * et / onep ** 2,
-             np.cumsum([0] + [s.size for s in segments]))
+             np.cumsum([0] + [s.size for s in segments[:-1]]))
     for arr in table:
         arr.flags.writeable = False
     return table
 
 
+@lru_cache(maxsize=32)
+def _zero_led_layout(sizes: tuple[int, ...]) -> tuple:
+    """(slots, starts, sizes) of a row holding each segment of the given sizes
+    behind one zero: the values' and the zeros' positions, read-only."""
+    seg = np.arange(len(sizes))
+    starts = np.cumsum(sizes) - sizes + seg
+    slots = np.arange(sum(sizes)) + np.repeat(seg + 1, sizes)
+    starts.flags.writeable = slots.flags.writeable = False
+    return slots, starts, sizes
+
+
+def _zero_led_sums(values: np.ndarray, layout: tuple) -> list[float]:
+    """Each segment's sum of values laid out by _zero_led_layout, from one
+    np.add.reduceat over a fresh zero-led row: np.add.reduce's bits, 0.0 if empty."""
+    slots, starts, _ = layout
+    row = np.zeros(slots.size + starts.size)
+    row[slots] = values
+    return np.add.reduceat(row, starts).tolist()
+
+
 def _mapped(a: float, b: float, ladder: tuple) -> tuple:
     """The read-only nodes x and weights w of ladder mapped onto (a, b),
     without the nodes that round onto an endpoint or carry no weight, and
-    the plan of its levels: per level, the kept positions (start, t < 0
-    start, end) of its two sign segments.  Offsets from the endpoints are
-    computed directly from 1 - tanh(t) = 2/(1 + e^{2t}) so nodes never
-    round onto a or b."""
-    pos, et, onep, cosh_u, sech2, bounds = ladder
+    the _zero_led_layout of their (level, sign) segments.  Offsets from the
+    endpoints are computed directly from 1 - tanh(t) = 2/(1 + e^{2t}) so
+    nodes never round onto a or b."""
+    pos, et, onep, cosh_u, sech2, firsts = ladder
     half = 0.5 * (b - a)
     # distance from the nearer endpoint, exact for large |t|
     delta = half * 2.0 * et / onep
@@ -129,8 +148,7 @@ def _mapped(a: float, b: float, ladder: tuple) -> tuple:
     keep = (delta > 0) & (w > 0)
     x, w = x[keep], w[keep]
     x.flags.writeable = w.flags.writeable = False
-    kept = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
-    return x, w, tuple(zip(kept[:-1:2], kept[1::2], kept[2::2]))
+    return x, w, _zero_led_layout(tuple(np.add.reduceat(keep, firsts, dtype=np.intp).tolist()))
 
 
 @lru_cache(maxsize=16)
@@ -142,20 +160,10 @@ def _mapped_ladder(a: float, b: float) -> tuple:
 def _level_sums(f, mapped: tuple) -> list[tuple[float, int]]:
     """(sum of w f, node count) of each level of mapped, from one call of f.
     A level's sign segments are summed apart, t >= 0 first, and added to a
-    running total from 0.0.  Segments of equal length are reduced as the
-    two rows of one array, which sums each row as it sums the segment
-    alone; level 0 holds u = 0 in its t >= 0 segment only."""
-    x, w, plan = mapped
-    wf = w * f(x)
-    sums = []
-    for lo, mid, hi in plan:
-        if mid - lo == hi - mid:
-            pos, neg = np.add.reduce(wf[lo:hi].reshape(2, mid - lo), 1).tolist()
-        else:
-            pos, neg = [float(np.add.reduce(wf[i:j])) if j > i else 0.0
-                        for i, j in ((lo, mid), (mid, hi))]
-        sums.append((0.0 + pos + neg, hi - lo))
-    return sums
+    running total from 0.0."""
+    x, w, layout = mapped
+    sums, n = _zero_led_sums(w * f(x), layout), layout[2]
+    return [(0.0 + sums[k] + sums[k + 1], n[k] + n[k + 1]) for k in range(0, len(n), 2)]
 
 
 def tanh_sinh(

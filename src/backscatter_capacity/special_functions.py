@@ -23,7 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import _ABS_TOL, REL_TOL, _check_rel_tol, _halve, _level_nodes
+from .quadrature import (_ABS_TOL, REL_TOL, _check_rel_tol, _halve, _level_nodes,
+                         _zero_led_layout, _zero_led_sums)
 
 EULER_GAMMA = 0.5772156649015328606
 LOG2E = 1.4426950408889634074
@@ -361,17 +362,17 @@ def _mb_shape(s: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _mb_first_pass(c: float, T: float) -> tuple:
-    """(h, s, shape, pieces, -s) of a contour's first factor call on
+    """(h, s, shape, layout, -s) of a contour's first factor call on
     Re s = c: step h of level 0, the nodes s of levels 0.._MB_DEPTH in level
-    order followed by the tail node c + iT, _mb_shape(s), the slices that
-    cut s into levels and tail, and -s.  The arrays are read-only."""
+    order followed by the tail node c + iT, _mb_shape(s), the _zero_led_layout
+    of s[1:-1] by level (level 0 past t = 0), and -s.  Arrays are read-only."""
     h = min(0.5, T / 64.0)
     nodes = _level_nodes(h, T, 0, _MB_DEPTH)
     s = c + 1j * np.concatenate(nodes + [np.array([T])])
     shape, neg_s = _mb_shape(s), -s
     s.flags.writeable = shape.flags.writeable = neg_s.flags.writeable = False
-    ends = np.cumsum([t.size for t in nodes] + [1]).tolist()
-    return h, s, shape, tuple(slice(lo, hi) for lo, hi in zip([0] + ends, ends)), neg_s
+    layout = _zero_led_layout(tuple(t.size - (k == 0) for k, t in enumerate(nodes)))
+    return h, s, shape, layout, neg_s
 
 
 def mellin_barnes_integral(c: float, z: float, factor, rel_tol: float = REL_TOL):
@@ -387,7 +388,7 @@ def mellin_barnes_integral(c: float, z: float, factor, rel_tol: float = REL_TOL)
 
     The trapezoid rule on [0, T] halves its step until two levels agree.
     The nodes of levels 0.._MB_DEPTH and the tail node T go to factor in one
-    call; the sums and tests then read slices of it in level order.  Those
+    call, and one reduction sums all those levels for the tests.  Those
     nodes and the kernel's z-free part on them are cached per (c, T), so a
     further z costs one z^{-s} pass.  A level past _MB_DEPTH calls factor
     on its own odd nodes.
@@ -399,27 +400,23 @@ def mellin_barnes_integral(c: float, z: float, factor, rel_tol: float = REL_TOL)
         vals = shape * np.exp(neg_s * log_z) * factor(s)
         return np.where(np.isfinite(vals), vals.real, 0.0)
 
-    def more(level):  # the odd nodes of a level, in the current attempt's [0, T]
-        if level <= _MB_DEPTH:
-            odd = vals[level]
-        else:
-            s = c + 1j * _level_nodes(h, T, level, level)[0]
-            odd = g(s, -s, _mb_shape(s))
+    def more(level):  # the odd nodes of a level past _MB_DEPTH, in the current [0, T]
+        s = c + 1j * _level_nodes(h, T, level, level)[0]
+        odd = g(s, -s, _mb_shape(s))
         return [(float(np.add.reduce(odd)), odd.size)]
 
     for _attempt in range(4):
-        h, s, shape, pieces, neg_s = _mb_first_pass(c, T)
+        h, s, shape, layout, neg_s = _mb_first_pass(c, T)
         first = g(s, neg_s, shape)
-        vals = [first[piece] for piece in pieces]  # one per level, then the tail node
-        value, err, n_nodes, _, converged = _halve(
-            [(float(vals[0][0]) * 0.5 + float(np.add.reduce(vals[0][1:])), vals[0].size)],
-            more, h / math.pi, rel_tol, 1)
+        sums = list(zip(_zero_led_sums(first[1:-1], layout), layout[2]))
+        sums[0] = (float(first[0]) * 0.5 + sums[0][0], sums[0][1] + 1)  # with t = 0
+        value, err, n_nodes, _, converged = _halve(sums, more, h / math.pi, rel_tol, 1)
         if not converged:
             raise ConvergenceError(
                 "Mellin-Barnes quadrature did not reach tolerance",
                 {"nodes": n_nodes, "T": T, "last_delta": err, "z": z})
         # empirical tail check against the exp(-rate t) bound
-        tail = abs(float(vals[-1][0])) / (_MB_DECAY_RATE * math.pi)
+        tail = abs(float(first[-1])) / (_MB_DECAY_RATE * math.pi)
         if tail <= max(rel_tol * abs(value), _ABS_TOL):
             return value, err + tail, n_nodes
         T *= 1.5

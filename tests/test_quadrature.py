@@ -209,12 +209,23 @@ def test_deep_levels_are_mapped_afresh(monkeypatch):
     assert quadrature._mapped_ladder.cache_info().currsize == 1
 
 
-def _segment_sums(f, mapped):
-    """_level_sums with one reduction per non-empty sign segment."""
-    x, w, plan = mapped
+def _kept_bounds(a, b, ladder):
+    """Per (level, sign) segment bound of ladder, the count of nodes before
+    it that _mapped keeps on (a, b): those whose offset from the nearer
+    endpoint and whose weight do not underflow."""
+    pos, et, onep, cosh_u, sech2, firsts = ladder
+    half = 0.5 * (b - a)
+    keep = (half * 2.0 * et / onep > 0) & (half * quadrature._HALF_PI * cosh_u * sech2 > 0)
+    return np.concatenate(([0], np.cumsum(keep)))[np.append(firsts, pos.size)].tolist()
+
+
+def _segment_sums(f, mapped, kept):
+    """The level sums of mapped with one reduction per non-empty sign
+    segment, the segments cut at the kept bounds."""
+    x, w, _ = mapped
     wf = w * f(x)
     sums = []
-    for lo, mid, hi in plan:
+    for lo, mid, hi in zip(kept[:-1:2], kept[1::2], kept[2::2]):
         total = 0.0
         for i, j in ((lo, mid), (mid, hi)):
             if j > i:
@@ -227,13 +238,52 @@ _SUM_INTEGRANDS = [lambda x: -np.log(x), lambda x: np.exp(-x) * np.sin(7.0 * x),
                    lambda x: 1.0 / np.sqrt(x)]
 
 
+def test_zero_led_reduceat_sums_each_segment_as_reduce():
+    # the level sums rest on this numpy property: np.add.reduceat over a row
+    # with one zero ahead of each segment gives, bit for bit, np.add.reduce
+    # of each segment alone (0.0 for an empty one)
+    rng = np.random.default_rng(20201)
+    segments = []
+    for n in range(401):
+        for _ in range(3):
+            mags = 10.0 ** rng.uniform(-300.0, 300.0, n)
+            seg = np.where(rng.random(n) < 0.5, -mags, mags)
+            seg[rng.random(n) < 0.05] = -0.0
+            segments.append(seg)
+    segments += [np.array([-0.0]), np.array([-0.0] * 9), np.array([1e300] * 400),
+                 np.array([1.0, np.inf, 2.0]), np.array([-np.inf] + [1.0] * 20),
+                 np.array([np.inf, -np.inf]), np.array([1.0] * 30 + [np.nan]),
+                 np.array([np.nan, np.inf]), np.array([-1e308, -1e308])]
+    row = np.concatenate([np.concatenate(([0.0], seg)) for seg in segments])
+    starts = np.cumsum([0] + [seg.size + 1 for seg in segments[:-1]])
+    with np.errstate(over="ignore", invalid="ignore"):  # the inf, nan and overflow rows
+        got = np.add.reduceat(row, starts)
+        want = np.array([np.add.reduce(seg) for seg in segments])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert got[:3].tolist() == [0.0, 0.0, 0.0]
+    assert [repr(v) for v in got[-6:].tolist()] == ["inf", "-inf", "nan", "nan", "nan", "-inf"]
+
+
+@pytest.mark.parametrize("sizes", [(0,), (3,), (0, 0, 5), (4, 0, 1, 7), (64, 63, 128)])
+def test_zero_led_sums_match_per_segment_reduce(sizes):
+    slots, starts, held = quadrature._zero_led_layout(sizes)
+    assert held == sizes and quadrature._zero_led_layout(sizes)[0] is slots
+    assert sorted(slots.tolist() + starts.tolist()) == list(range(sum(sizes) + len(sizes)))
+    assert not slots.flags.writeable and not starts.flags.writeable
+    values = np.random.default_rng(sum(sizes)).standard_normal(sum(sizes)) * 1e3
+    pieces = np.split(values, np.cumsum(sizes)[:-1])
+    assert quadrature._zero_led_sums(values, (slots, starts, held)) == \
+        [float(np.add.reduce(piece)) for piece in pieces]
+
+
 @pytest.mark.parametrize("levels", [(0, 5), (6, 6), (7, 7)])
-def test_paired_level_sums_on_the_capacity_interval(levels):
-    # levels 1 up have sign segments of equal length, reduced as one
-    # (2, n) array; each level's sum has the bits of the per-segment sums
-    mapped = quadrature._mapped(0.0, capacity._U_MAX, quadrature._ladder(*levels))
-    unequal = [lo for lo, mid, hi in mapped[2] if mid - lo != hi - mid]
-    assert unequal == ([0] if levels[0] == 0 else [])
+def test_level_sums_on_the_capacity_interval(levels):
+    # every sign segment is reduced behind its own zero in one reduceat;
+    # each level's sum has the bits of the per-segment sums
+    ladder = quadrature._ladder(*levels)
+    mapped = quadrature._mapped(0.0, capacity._U_MAX, ladder)
+    kept = _kept_bounds(0.0, capacity._U_MAX, ladder)
+    assert mapped[2][2] == tuple(np.diff(kept).tolist())
     rate = ChannelParams(10.0, 0.5).tail_rate
 
     def integrand(u):
@@ -241,22 +291,25 @@ def test_paired_level_sums_on_the_capacity_interval(levels):
         return np.log1p(t * t) * _pdf_u(0.5, u, LOG2E)
 
     for f in _SUM_INTEGRANDS + [integrand]:
-        assert repr(quadrature._level_sums(f, mapped)) == repr(_segment_sums(f, mapped))
+        assert repr(quadrature._level_sums(f, mapped)) == repr(_segment_sums(f, mapped, kept))
 
 
 @pytest.mark.parametrize("b", [1e-300, 1e-320, 1e-323])
-def test_paired_level_sums_where_nodes_are_dropped(b):
+def test_level_sums_where_nodes_are_dropped(b):
     # on (0, b) the offsets from the endpoints underflow and _mapped drops
     # nodes of both signs; at 1e-323 level 0 keeps only u = 0, so its
     # t < 0 segment is empty
-    mapped = quadrature._mapped(0.0, b, quadrature._ladder(0, 5))
-    assert mapped[0].size < 383
-    unequal = [(mid - lo, hi - mid) for lo, mid, hi in mapped[2] if mid - lo != hi - mid]
-    assert len(unequal) == 1
+    ladder = quadrature._ladder(0, 5)
+    mapped = quadrature._mapped(0.0, b, ladder)
+    kept = _kept_bounds(0.0, b, ladder)
+    assert mapped[0].size == kept[-1] < 383
+    sizes = mapped[2][2]
+    assert sizes == tuple(np.diff(kept).tolist())
+    assert len([k for k in range(0, 12, 2) if sizes[k] != sizes[k + 1]]) == 1
     if b == 1e-323:
-        assert unequal == [(1, 0)]
+        assert sizes[:2] == (1, 0)
     for f in _SUM_INTEGRANDS:
-        assert repr(quadrature._level_sums(f, mapped)) == repr(_segment_sums(f, mapped))
+        assert repr(quadrature._level_sums(f, mapped)) == repr(_segment_sums(f, mapped, kept))
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.9999, 1.0])

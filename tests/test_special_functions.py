@@ -600,6 +600,46 @@ class TestMellinBarnesOnePass:
             assert repr(got) == repr(want), rel_tol
             assert calls[0] == 257
 
+    @pytest.mark.parametrize("factor", [np.ones_like, lambda s: _hyp2f1_series(-s, 1.0, 0.3)[0]],
+                             ids=["one", "hyp2f1_rho_0.3"])
+    @pytest.mark.parametrize("c", [0.4, 0.5])
+    @pytest.mark.parametrize("rel_tol, margin", [(1e-10, None), (1e-13, None), (1e-10, 30.0)])
+    def test_first_pass_level_sums(self, monkeypatch, factor, c, rel_tol, margin):
+        # the sums of levels 0.._MB_DEPTH fed to _halve have the bits of one
+        # reduction per level, level 0 as x0 * 0.5 + the sum past t = 0; a
+        # margin of 30 puts T above 32, where level 0 holds h = 0.5's nodes
+        if margin is not None:
+            monkeypatch.setattr(special_functions, "_MB_CONTOUR_MARGIN", margin)
+        seen, contours = [], []
+        real_halve, real_first = special_functions._halve, special_functions._mb_first_pass
+
+        def halve_spy(sums, *args):
+            seen.append(repr(sums))  # before _halve appends the deeper levels
+            return real_halve(sums, *args)
+
+        def first_spy(re_s, T):
+            contours.append((re_s, T))
+            return real_first(re_s, T)
+
+        monkeypatch.setattr(special_functions, "_halve", halve_spy)
+        monkeypatch.setattr(special_functions, "_mb_first_pass", first_spy)
+        for z in (1e-6, 1.0, 1e6):
+            seen.clear()
+            contours.clear()
+            mellin_barnes_integral(c, z, factor, rel_tol)
+            assert len(seen) == len(contours) >= 1
+            for got, (re_s, T) in zip(seen, contours):
+                h, s, shape, _, neg_s = real_first(re_s, T)
+                vals = shape * np.exp(neg_s * math.log(z)) * factor(s)
+                first = np.where(np.isfinite(vals), vals.real, 0.0)
+                levels = np.split(first, np.cumsum([t.size for t in quadrature._level_nodes(
+                    h, T, 0, special_functions._MB_DEPTH)]))[:-1]
+                assert (levels[0].size > 64) == (margin is not None)
+                want = [(float(levels[0][0]) * 0.5 + float(np.add.reduce(levels[0][1:])),
+                         levels[0].size)]
+                want += [(float(np.add.reduce(odd)), odd.size) for odd in levels[1:]]
+                assert got == repr(want), (z, T)
+
     @pytest.mark.parametrize("max_nodes", [64, 128, 300])
     def test_node_budget(self, max_nodes, monkeypatch):
         # 64: no level past 0; 128: level 1 misses; 300: level 3 is its own call
